@@ -14,8 +14,8 @@ import (
 )
 
 // cmdFuzz runs a differential fuzzing campaign: seeded random mini-C
-// programs through the four-substrate oracle (emulator, dense, idle-skip,
-// parallel machine, plus warm-Reset/pool re-runs), in parallel across
+// programs through the five-leg oracle (emulator, idle-skip and dense
+// machine, warm-Reset and pool re-runs), in parallel across
 // workers, stopping at the first divergence. The failure is minimized to a
 // small reproducer and both the original and minimized programs are written
 // to disk. Exit status: 0 when every program agreed, 1 on a divergence.

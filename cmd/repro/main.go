@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -167,25 +166,6 @@ func usageErrf(format string, args ...any) error {
 	return errUsage
 }
 
-// parseSimWorkers resolves the -sim-workers flag shared by machine, sweep,
-// bench-sim and serve: a positive worker count for the machine's parallel
-// phase scheduler, or "auto" for GOMAXPROCS. 1 is the bit-exact sequential
-// idle-skip path; every value produces bit-identical simulation results (the
-// scheduler oracle pins this), so the flag is purely a wall-clock knob.
-// Garbage — zero, negatives, non-"auto" words — is a usage error (exit 2),
-// not a runtime failure: the simulation never started.
-func parseSimWorkers(s string) (int, error) {
-	t := strings.TrimSpace(s)
-	if strings.EqualFold(t, "auto") {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(t)
-	if err != nil || n < 1 {
-		return 0, usageErrf("bad -sim-workers value %q (want a positive count or \"auto\")", s)
-	}
-	return n, nil
-}
-
 // parseSizes parses a comma-separated size list.
 func parseSizes(s string) ([]int, error) {
 	var out []int
@@ -255,12 +235,7 @@ func cmdMachine(args []string) error {
 	cores := fs.Int("cores", 8, "simulated cores")
 	kid := fs.Int("kernel", 0, "benchmark number (0 = all)")
 	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
-	simWorkers := fs.String("sim-workers", "1", "parallel-scheduler goroutines per simulation (\"auto\" = GOMAXPROCS; results are bit-identical for every value)")
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	sw, err := parseSimWorkers(*simWorkers)
-	if err != nil {
 		return err
 	}
 	ks, err := selectKernels(*kid)
@@ -274,7 +249,6 @@ func cmdMachine(args []string) error {
 		kn := k.ClampN(*n)
 		mb := backend.NewMachine(*cores)
 		mb.Cfg.Dense = *dense
-		mb.Cfg.SimWorkers = sw
 		rm, err := k.CrossValidateOn(mb, *n, *seed)
 		if err != nil {
 			fmt.Printf("%-3d %-40s %8d %10s %10s %9s %9s FAIL: %v\n",

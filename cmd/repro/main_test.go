@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -61,62 +60,6 @@ func TestSelectKernels(t *testing.T) {
 	}
 	if _, err := selectKernels(99); err == nil {
 		t.Error("selectKernels accepted an unknown benchmark number")
-	}
-}
-
-func TestParseSimWorkers(t *testing.T) {
-	good := []struct {
-		in   string
-		want int
-	}{
-		{"1", 1}, {"4", 4}, {" 4 ", 4},
-		{"auto", runtime.GOMAXPROCS(0)}, {"AUTO", runtime.GOMAXPROCS(0)},
-	}
-	for _, c := range good {
-		if got, err := parseSimWorkers(c.in); err != nil || got != c.want {
-			t.Errorf("parseSimWorkers(%q) = %d, %v, want %d", c.in, got, err, c.want)
-		}
-	}
-	for _, bad := range []string{"", "0", "-1", "-2", "banana", "1.5", "auto2", "0x4"} {
-		_, err := captureStderr(t, func() error {
-			_, perr := parseSimWorkers(bad)
-			if !errors.Is(perr, errUsage) {
-				t.Errorf("parseSimWorkers(%q) = %v, want errUsage", bad, perr)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestSimWorkersRejectedEverywhere pins the -sim-workers contract on every
-// subcommand that takes it: garbage is a usage error (exit 2) raised before
-// any simulation or service starts, with the bad value named on stderr.
-func TestSimWorkersRejectedEverywhere(t *testing.T) {
-	cmds := []struct {
-		name string
-		run  func([]string) error
-	}{
-		{"machine", cmdMachine},
-		{"sweep", cmdSweep},
-		{"bench-sim", cmdBenchSim},
-		{"serve", cmdServe},
-		{"worker", cmdWorker},
-	}
-	for _, cmd := range cmds {
-		for _, bad := range []string{"0", "-3", "banana"} {
-			out, err := captureStderr(t, func() error {
-				return cmd.run([]string{"-sim-workers", bad})
-			})
-			if !errors.Is(err, errUsage) {
-				t.Errorf("%s -sim-workers %s = %v, want errUsage", cmd.name, bad, err)
-			}
-			if !strings.Contains(out, bad) {
-				t.Errorf("%s -sim-workers %s: stderr does not name the value:\n%s", cmd.name, bad, out)
-			}
-		}
 	}
 }
 
@@ -375,7 +318,7 @@ func TestCmdBenchSimSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "bench-machine-v2") {
+	if !strings.Contains(out, "bench-machine-v3") {
 		t.Errorf("bench-sim -verify output:\n%s", out)
 	}
 	if err := cmdBenchSim([]string{"-verify", filepath.Join(dir, "missing.json")}); err == nil {

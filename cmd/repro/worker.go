@@ -29,14 +29,9 @@ func cmdWorker(args []string) error {
 	name := fs.String("name", "", "worker label in coordinator logs (default host:pid)")
 	workers := fs.Int("workers", 0, "concurrent measurements per leased batch (0 = GOMAXPROCS)")
 	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
-	simWorkers := fs.String("sim-workers", "1", "parallel-scheduler goroutines per simulation (\"auto\" = GOMAXPROCS; results are bit-identical for every value)")
 	pool := fs.Bool("machine-pool", true, "reuse warmed machines across points that differ only in inputs")
 	poll := fs.Duration("poll", 0, "idle poll interval (0 = coordinator-suggested)")
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	sw, err := parseSimWorkers(*simWorkers)
-	if err != nil {
 		return err
 	}
 	u, err := url.Parse(*coord)
@@ -44,7 +39,7 @@ func cmdWorker(args []string) error {
 		return usageErrf("bad -coordinator URL %q (want scheme://host:port)", *coord)
 	}
 
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense, SimWorkers: sw}
+	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
 	if *pool {
 		eng.Pool = machine.NewPool()
 	}
@@ -62,7 +57,7 @@ func cmdWorker(args []string) error {
 		Coordinator: u.String(), Eng: eng, Name: *name, Log: log, Poll: *poll,
 	}
 	log.Info("worker starting", "coordinator", w.Coordinator, "name", *name,
-		"cache", *cacheDir, "simWorkers", sw, "machinePool", *pool)
+		"cache", *cacheDir, "machinePool", *pool)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

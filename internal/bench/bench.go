@@ -2,10 +2,9 @@
 // simulated chip. It reproduces no paper material: it is infrastructure
 // guarding the speed of the §4 model that every scaling study (Figs. 8–10)
 // runs on. It runs a fixed kernel × core-count grid under the simulator's
-// schedulers (the reference dense loop, the idle-skip scheduler, and the
-// parallel phase scheduler when the grid asks for one), verifies on every
-// point that all of them produce bit-identical simulation results, and
-// reports wall time and nanoseconds per simulated cycle for each.
+// two schedulers (the reference dense loop and the idle-skip scheduler),
+// verifies on every point that both produce identical simulation results,
+// and reports wall time and nanoseconds per simulated cycle for each.
 //
 // Beyond the small standard trio the grid carries paper-scale big-N points
 // (dataset sizes in the thousands on 64 cores). Those skip the dense leg —
@@ -31,10 +30,15 @@ import (
 	"repro/internal/pbbs"
 )
 
-// Schema identifies the BENCH_machine.json format. v2 adds the parallel
-// phase-scheduler leg (parallelNs, parSpeedup, simWorkers per point) and the
-// big-N points, which carry no dense figures.
-const Schema = "bench-machine-v2"
+// Schema identifies the BENCH_machine.json format. v3 drops v2's parallel
+// phase-scheduler leg (parallelNs, parSpeedup, simWorkers) along with the
+// scheduler; big-N points still carry no dense figures.
+const Schema = "bench-machine-v3"
+
+// prevSchema is the format v3 replaced. Its idle-skip and dense figures mean
+// what v3's do, so Load accepts it (dropping the parallel fields) and
+// trajectories recorded before v3 stay usable as -against baselines.
+const prevSchema = "bench-machine-v2"
 
 // Grid describes the benchmark grid.
 type Grid struct {
@@ -53,11 +57,6 @@ type Grid struct {
 	// minimum wall time is reported, the usual defence against scheduling
 	// noise.
 	Runs int
-	// SimWorkers is the goroutine count of the parallel phase scheduler's
-	// timing leg; <= 1 skips that leg. Results are bit-identical to the
-	// sequential schedulers for every value (Measure verifies this on each
-	// point), so the leg only adds wall-clock columns.
-	SimWorkers int
 	// BigNs are paper-scale dataset sizes timed for BigNKernels × BigNCores
 	// in addition to the standard grid. Big-N points skip the dense leg
 	// (minutes-slow at these sizes) and are timed once regardless of Runs —
@@ -78,12 +77,11 @@ type Grid struct {
 // section scans dominate).
 func DefaultGrid() Grid {
 	return Grid{
-		Kernels:    []string{"quicksort", "duplicates", "kruskal"},
-		N:          64,
-		Cores:      []int{1, 16, 64},
-		Seed:       1,
-		Runs:       3,
-		SimWorkers: 4,
+		Kernels: []string{"quicksort", "duplicates", "kruskal"},
+		N:       64,
+		Cores:   []int{1, 16, 64},
+		Seed:    1,
+		Runs:    3,
 		// 512 and 1024 are seconds-to-a-minute on a single-CPU host; 2048
 		// already costs minutes, too slow for a checked-in trajectory.
 		BigNs: []int{512, 1024},
@@ -91,19 +89,18 @@ func DefaultGrid() Grid {
 }
 
 // QuickGrid returns a seconds-scale grid for CI smoke runs. It keeps one
-// big-N point (quickSort n=512 on 64 cores) and the parallel leg, so the
-// smoke run exercises every scheduler and the paper-scale regime — and its
-// points all have DefaultGrid counterparts, so -against a full-grid baseline
-// judges each of them.
+// big-N point (quickSort n=512 on 64 cores), so the smoke run exercises both
+// schedulers and the paper-scale regime — and its points all have
+// DefaultGrid counterparts, so -against a full-grid baseline judges each of
+// them.
 func QuickGrid() Grid {
 	return Grid{
-		Kernels:    []string{"duplicates"},
-		N:          64,
-		Cores:      []int{1, 64},
-		Seed:       1,
-		Runs:       1,
-		SimWorkers: 4,
-		BigNs:      []int{512},
+		Kernels: []string{"duplicates"},
+		N:       64,
+		Cores:   []int{1, 64},
+		Seed:    1,
+		Runs:    1,
+		BigNs:   []int{512},
 	}
 }
 
@@ -129,17 +126,6 @@ type Point struct {
 	// Speedup is DenseNsPerCycle / IdleSkipNsPerCycle (the cycle counts are
 	// identical by construction, so this equals the wall-time ratio).
 	Speedup float64 `json:"speedup"`
-	// SimWorkers is the goroutine count of the parallel leg; 0 means the leg
-	// was not run and the three parallel figures below are absent.
-	SimWorkers int `json:"simWorkers,omitempty"`
-	// ParallelNs is the best-of-Runs wall time under the parallel phase
-	// scheduler, ParallelNsPerCycle the per-cycle figure, and ParSpeedup the
-	// serial-vs-parallel wall-clock ratio IdleSkipNs / ParallelNs (> 1 means
-	// the goroutines paid off; expect < 1 on a single-CPU host, where the
-	// leg measures pure coordination overhead).
-	ParallelNs         int64   `json:"parallelNs,omitempty"`
-	ParallelNsPerCycle float64 `json:"parallelNsPerCycle,omitempty"`
-	ParSpeedup         float64 `json:"parSpeedup,omitempty"`
 }
 
 // Report is the serialised benchmark outcome.
@@ -161,14 +147,10 @@ type Report struct {
 	// Aggregates over the whole grid: total wall time divided by total
 	// simulated cycles, per scheduler, and the total wall-time ratio. The
 	// dense aggregates cover only the points that ran the dense leg (big-N
-	// points skip it); the parallel ones only the points that ran the
-	// parallel leg, with ParSpeedup the idle-skip/parallel wall-time ratio
-	// over those points.
+	// points skip it).
 	DenseNsPerCycle    float64 `json:"denseNsPerCycle"`
 	IdleSkipNsPerCycle float64 `json:"idleSkipNsPerCycle"`
 	Speedup            float64 `json:"speedup"`
-	ParallelNsPerCycle float64 `json:"parallelNsPerCycle,omitempty"`
-	ParSpeedup         float64 `json:"parSpeedup,omitempty"`
 }
 
 // benchCase is one (kernel, n) of the grid with the core counts to sweep:
@@ -221,9 +203,10 @@ func (g Grid) cases() ([]benchCase, error) {
 	return out, nil
 }
 
-// Measure runs the grid and builds the report. Every point cross-checks all
-// of its scheduler legs against the first one (dense where it runs, idle-skip
-// on big-N points): differing cycles, instruction counts, checksums or NoC
+// Measure runs the grid and builds the report. Every point cross-checks its
+// idle-skip leg against the dense one where the dense leg runs (big-N points
+// time idle-skip alone, checked against the kernel reference): differing
+// cycles, instruction counts, checksums or NoC
 // message totals are an error, so timing numbers are only ever produced for
 // verified-identical simulations.
 func Measure(g Grid) (*Report, error) {
@@ -252,12 +235,11 @@ func Measure(g Grid) (*Report, error) {
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 		Runs:       g.Runs,
 	}
-	// Aggregate accumulators. The dense and parallel legs do not run on
-	// every point, so their ratios are computed against the idle-skip time
-	// of exactly the points they ran on.
+	// Aggregate accumulators. The dense leg does not run on every point, so
+	// its ratio is computed against the idle-skip time of exactly the points
+	// it ran on.
 	var skipNs, cycles int64
 	var denseNs, denseIdleNs, denseCycles int64
-	var parNs, parIdleNs, parCycles int64
 	for _, bc := range cases {
 		k := bc.k
 		n := k.ClampN(bc.n)
@@ -275,20 +257,15 @@ func Measure(g Grid) (*Report, error) {
 			// The legs of this point, in oracle-first order: every later leg
 			// is cross-checked against the first one's results.
 			type leg struct {
-				name    string
-				dense   bool
-				workers int
-				best    *int64
+				name  string
+				dense bool
+				best  *int64
 			}
 			var legs []leg
 			if bc.dense {
-				legs = append(legs, leg{"dense", true, 0, &pt.DenseNs})
+				legs = append(legs, leg{"dense", true, &pt.DenseNs})
 			}
-			legs = append(legs, leg{"idle-skip", false, 0, &pt.IdleSkipNs})
-			if g.SimWorkers > 1 {
-				pt.SimWorkers = g.SimWorkers
-				legs = append(legs, leg{"parallel", false, g.SimWorkers, &pt.ParallelNs})
-			}
+			legs = append(legs, leg{"idle-skip", false, &pt.IdleSkipNs})
 			for run := 0; run < bc.runs; run++ {
 				for _, l := range legs {
 					// The paper-calibrated default config (shortcut on,
@@ -296,7 +273,6 @@ func Measure(g Grid) (*Report, error) {
 					// point simulates — with only the scheduler varied.
 					mb := backend.NewMachine(cores)
 					mb.Cfg.Dense = l.dense
-					mb.Cfg.SimWorkers = l.workers
 					// Collect the previous simulation's garbage outside the
 					// timed window, so each timing reflects its own run, not
 					// the backlog of whichever scheduler happened to go
@@ -340,13 +316,6 @@ func Measure(g Grid) (*Report, error) {
 				denseIdleNs += pt.IdleSkipNs
 				denseCycles += pt.Cycles
 			}
-			if pt.ParallelNs > 0 {
-				pt.ParallelNsPerCycle = float64(pt.ParallelNs) / float64(pt.Cycles)
-				pt.ParSpeedup = float64(pt.IdleSkipNs) / float64(pt.ParallelNs)
-				parNs += pt.ParallelNs
-				parIdleNs += pt.IdleSkipNs
-				parCycles += pt.Cycles
-			}
 			rep.Points = append(rep.Points, pt)
 		}
 	}
@@ -358,10 +327,6 @@ func Measure(g Grid) (*Report, error) {
 	}
 	if denseIdleNs > 0 {
 		rep.Speedup = float64(denseNs) / float64(denseIdleNs)
-	}
-	if parNs > 0 {
-		rep.ParallelNsPerCycle = float64(parNs) / float64(parCycles)
-		rep.ParSpeedup = float64(parIdleNs) / float64(parNs)
 	}
 	return rep, nil
 }
@@ -385,7 +350,7 @@ func Load(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", path, err)
 	}
-	if r.Schema != Schema {
+	if r.Schema != Schema && r.Schema != prevSchema {
 		return nil, fmt.Errorf("bench: %s: schema %q, want %q", path, r.Schema, Schema)
 	}
 	if len(r.Points) == 0 {
@@ -394,8 +359,8 @@ func Load(path string) (*Report, error) {
 	return &r, nil
 }
 
-// Table renders the report as an aligned text table. Legs a point did not
-// run (dense on big-N points, parallel when the grid disables it) print "-".
+// Table renders the report as an aligned text table. A leg a point did not
+// run (dense on big-N points) prints "-".
 func (r *Report) Table() string {
 	ms := func(ns int64) string {
 		if ns == 0 {
@@ -410,24 +375,18 @@ func (r *Report) Table() string {
 		return fmt.Sprintf("%.2fx", v)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %5s %6s %5s %10s %11s %11s %11s %10s %7s %8s\n",
-		"benchmark", "n", "cores", "secs", "cycles", "dense-ms", "idle-ms", "par-ms", "idle-ns/c", "speedup", "par-spd")
+	fmt.Fprintf(&b, "%-28s %5s %6s %5s %10s %11s %11s %10s %7s\n",
+		"benchmark", "n", "cores", "secs", "cycles", "dense-ms", "idle-ms", "idle-ns/c", "speedup")
 	for _, p := range r.Points {
 		name := p.Kernel
 		if i := strings.IndexByte(name, '/'); i >= 0 {
 			name = name[i+1:]
 		}
-		fmt.Fprintf(&b, "%-28s %5d %6d %5d %10d %11s %11s %11s %10.1f %7s %8s\n",
+		fmt.Fprintf(&b, "%-28s %5d %6d %5d %10d %11s %11s %10.1f %7s\n",
 			name, p.N, p.Cores, p.Sections, p.Cycles,
-			ms(p.DenseNs), ms(p.IdleSkipNs), ms(p.ParallelNs),
-			p.IdleSkipNsPerCycle, ratio(p.Speedup), ratio(p.ParSpeedup))
+			ms(p.DenseNs), ms(p.IdleSkipNs), p.IdleSkipNsPerCycle, ratio(p.Speedup))
 	}
-	fmt.Fprintf(&b, "aggregate: dense %.1f ns/cycle, idle-skip %.1f ns/cycle, speedup %.2fx",
-		r.DenseNsPerCycle, r.IdleSkipNsPerCycle, r.Speedup)
-	if r.ParallelNsPerCycle > 0 {
-		fmt.Fprintf(&b, ", parallel %.1f ns/cycle (par-speedup %.2fx)", r.ParallelNsPerCycle, r.ParSpeedup)
-	}
-	fmt.Fprintf(&b, " (%s, %d cpus, gomaxprocs %d, best of %d)\n",
-		r.GoVersion, r.CPUs, r.Gomaxprocs, r.Runs)
+	fmt.Fprintf(&b, "aggregate: dense %.1f ns/cycle, idle-skip %.1f ns/cycle, speedup %.2fx (%s, %d cpus, gomaxprocs %d, best of %d)\n",
+		r.DenseNsPerCycle, r.IdleSkipNsPerCycle, r.Speedup, r.GoVersion, r.CPUs, r.Gomaxprocs, r.Runs)
 	return b.String()
 }

@@ -88,6 +88,25 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadAcceptsV2Baseline: a report written before the parallel leg was
+// dropped still loads, so older trajectories stay usable with -against; its
+// parallel fields are ignored and its idle-skip figures kept.
+func TestLoadAcceptsV2Baseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.json")
+	v2 := `{"schema":"bench-machine-v2","points":[{"kernel":"k","n":64,"cores":1,` +
+		`"idleSkipNsPerCycle":12.5,"simWorkers":4,"parallelNs":9,"parSpeedup":0.8}]}`
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Points[0].IdleSkipNsPerCycle != 12.5 {
+		t.Errorf("v2 point loaded as %+v", r.Points[0])
+	}
+}
+
 func TestBadSelector(t *testing.T) {
 	if _, err := Measure(Grid{Kernels: []string{"no-such-kernel"}}); err == nil {
 		t.Error("Measure accepted an unknown kernel selector")

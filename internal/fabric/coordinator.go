@@ -206,6 +206,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	c.expireLocked(now)
 	var resp ReportResponse
 	var merge []sweep.Record
+	var landed []*task
 	for _, r := range req.Results {
 		t := c.tasks[r.Task]
 		if t == nil || t.st.done[t.idx] {
@@ -220,6 +221,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 			continue
 		}
 		c.completeLocked(t, r.Record)
+		landed = append(landed, t)
 		resp.Accepted++
 		c.stats.Accepted++
 		if r.Record.Err == "" && r.Record.Key != "" {
@@ -238,15 +240,19 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 			c.logger().Warn("fabric cache merge failed", "key", rec.Key, "error", err)
 		}
 	}
+	for _, t := range landed {
+		t.publish()
+	}
 	return resp, nil
 }
 
-// completeLocked lands an accepted record and retires its task.
+// completeLocked lands an accepted record and retires its task. The caller
+// publishes it once the record is in the cache, so a Run that has returned
+// never leaves a streamed record unmerged.
 func (c *Coordinator) completeLocked(t *task, rec sweep.Record) {
 	st := t.st
 	st.recs[t.idx] = rec
 	st.done[t.idx] = true
-	close(st.ready[t.idx])
 	st.remaining--
 	delete(c.tasks, t.id)
 	if st.remaining == 0 {
@@ -260,6 +266,9 @@ func (c *Coordinator) completeLocked(t *task, rec sweep.Record) {
 		c.pending = keep
 	}
 }
+
+// publish hands a completed task's record to its Run's emit loop.
+func (t *task) publish() { close(t.st.ready[t.idx]) }
 
 // popLocked takes up to max undone tasks off the front of the queue.
 func (c *Coordinator) popLocked(max int) []*task {
@@ -461,18 +470,24 @@ func (c *Coordinator) watch(st *runState, stop <-chan struct{}) {
 		for _, t := range batch {
 			rec := c.Eng.Measure(t.st.pts[t.idx])
 			c.mu.Lock()
+			accepted := false
 			if tt := c.tasks[t.id]; tt != nil && !tt.st.done[tt.idx] {
 				c.completeLocked(tt, rec)
 				c.stats.Accepted++
+				accepted = true
 			} else {
 				c.stats.Duplicates++
 			}
 			c.mu.Unlock()
+			if !accepted {
+				continue
+			}
 			// Eng.Measure already stored the point when Cache is the
 			// engine's own store; Put again covers a split configuration.
 			if rec.Err == "" && rec.Key != "" {
 				_ = c.Cache.Put(rec.Key, &rec.Metrics)
 			}
+			t.publish()
 		}
 	}
 }

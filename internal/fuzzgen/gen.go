@@ -1,7 +1,7 @@
 // Package fuzzgen is the differential-fuzzing subsystem: a seeded generator
-// of terminating mini-C programs, an equivalence oracle over the four
-// execution substrates (sequential emulator, dense machine, idle-skip
-// machine, parallel machine) plus warm-Reset/pool re-runs, and a
+// of terminating mini-C programs, an equivalence oracle over the three
+// execution substrates (sequential emulator, idle-skip machine, dense
+// machine) plus warm-Reset/pool re-runs, and a
 // delta-debugging minimizer that shrinks failing programs to small
 // reproducers. The native fuzz targets in fuzz_test.go and the `repro fuzz`
 // subcommand are thin drivers over these three pieces.

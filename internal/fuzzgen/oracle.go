@@ -32,15 +32,11 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("fuzz seed %d (cores=%d) %s: %s", f.Seed, f.Cores, f.Stage, f.Detail)
 }
 
-// Oracle checks the repo's core invariant on one program: emulator ≡ dense
-// machine ≡ idle-skip machine ≡ parallel machine — checksums, final data
-// segments, and per-instruction stage timestamps — and the machine legs
-// reproduce bit-identically across warm Reset and pool reuse.
+// Oracle checks the repo's core invariant on one program with five legs:
+// emulator ≡ idle-skip machine ≡ dense machine — checksums, final data
+// segments, and per-instruction stage timestamps — and the idle-skip machine
+// reproduces bit-identically after a warm Reset and through the pool.
 type Oracle struct {
-	// SimWorkers are the parallel-scheduler widths to test; default {2, 4}.
-	// Values above the host width are deliberate: they force cross-worker
-	// handoff even on narrow CI machines.
-	SimWorkers []int
 	// MaxSteps bounds the emulator leg; 0 uses a fuzz-sized default large
 	// enough for any generator budget and small enough to fail fast on a
 	// runaway minimizer candidate.
@@ -48,13 +44,6 @@ type Oracle struct {
 }
 
 const fuzzMaxSteps = 1 << 22 // ~4M steps; generator programs use a few thousand
-
-func (o *Oracle) simWorkers() []int {
-	if len(o.SimWorkers) == 0 {
-		return []int{2, 4}
-	}
-	return o.SimWorkers
-}
 
 // CheckProgram runs a generated case through the full oracle.
 func (o *Oracle) CheckProgram(p *Program) *Failure {
@@ -93,16 +82,15 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 		return fail("emulator", "%v", err)
 	}
 
-	// Substrate 2: the idle-skip machine is the reference all other machine
+	// Substrate 2: the idle-skip machine is the reference the other machine
 	// legs are compared against.
-	runLeg := func(dense bool, workers int) (*backend.Result, error) {
+	runLeg := func(dense bool) (*backend.Result, error) {
 		cfg := machine.DefaultConfig(cores)
 		cfg.Dense = dense
-		cfg.SimWorkers = workers
 		mb := &backend.Machine{Cfg: cfg}
 		return mb.Run(prog, nil, false)
 	}
-	ref, err := runLeg(false, 0)
+	ref, err := runLeg(false)
 	if err != nil {
 		return fail("machine", "idle-skip: %v", err)
 	}
@@ -118,28 +106,14 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 		}
 	}
 
-	// Substrates 3 and 4: dense and parallel legs must be bit-identical to
-	// the idle-skip reference, stage timestamps included.
-	legs := []struct {
-		label   string
-		dense   bool
-		workers int
-	}{{"dense", true, 0}}
-	for _, w := range o.simWorkers() {
-		legs = append(legs, struct {
-			label   string
-			dense   bool
-			workers int
-		}{fmt.Sprintf("parallel(workers=%d)", w), false, w})
+	// Substrate 3: the dense machine must be bit-identical to the idle-skip
+	// reference, stage timestamps included.
+	dense, err := runLeg(true)
+	if err != nil {
+		return fail("machine", "dense: %v", err)
 	}
-	for _, leg := range legs {
-		res, err := runLeg(leg.dense, leg.workers)
-		if err != nil {
-			return fail("machine", "%s: %v", leg.label, err)
-		}
-		if diff := diffResults(ref.Machine, res.Machine); diff != "" {
-			return fail("mismatch", "idle-skip vs %s: %s", leg.label, diff)
-		}
+	if diff := diffResults(ref.Machine, dense.Machine); diff != "" {
+		return fail("mismatch", "idle-skip vs dense: %s", diff)
 	}
 
 	// Warm re-runs: the same Machine after Reset, and a pool Get → Put →

@@ -26,7 +26,7 @@ func (d *DynInst) wrSlot(r isa.Reg) int {
 func (d *DynInst) regWritten(r isa.Reg) bool {
 	for i := 0; i < int(d.nwr); i++ {
 		if d.wrRegs[i] == r {
-			return d.wrAt[i] != 0
+			return d.wrAt[i].at != 0
 		}
 	}
 	return false
@@ -35,14 +35,14 @@ func (d *DynInst) regWritten(r isa.Reg) bool {
 // setReg records one register result of d becoming available at cycle cyc.
 func (d *DynInst) setReg(r isa.Reg, v uint64, cyc int64) {
 	i := d.wrSlot(r)
-	if d.wrAt[i] != 0 {
+	if d.wrAt[i].at != 0 {
 		// Keep the earliest availability (e.g. pop's rsp update computed at
 		// fetch must not be delayed by the load half).
 		d.wrVal[i] = v
 		return
 	}
 	d.wrVal[i] = v
-	d.wrAt[i] = cyc
+	d.wrAt[i].at = cyc
 }
 
 // srcValue returns the resolved value of register r among d's sources.

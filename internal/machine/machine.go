@@ -67,16 +67,6 @@ type Config struct {
 	// (cycles, timings, message counts); dense exists as the oracle the
 	// idle-skip cross-check tests and `repro bench-sim` compare against.
 	Dense bool
-	// SimWorkers is the host-goroutine count of the parallel scheduler
-	// (parallel.go): the per-core issue scans and wake computation of each
-	// simulated cycle run on that many workers over a static core partition,
-	// with all cross-core effects applied serially at the per-cycle barrier.
-	// <= 1 (the default) keeps the sequential idle-skip scheduler. The
-	// setting is purely a wall-clock knob: results are bit-identical for
-	// every value, because stage selection is a pure function of cycle-start
-	// state (see parallel.go for the argument, and the three-way oracle
-	// tests for the pin). Ignored when Dense is set.
-	SimWorkers int
 	// StallLimit aborts the run when no architectural progress happens for
 	// this many cycles (deadlock detector). Defaults to 10000.
 	StallLimit int64
@@ -99,24 +89,34 @@ type val struct {
 	full bool
 }
 
+// readyCell is a producer's ready-time word (0 = not yet produced; real
+// cycles start at 1) together with the head of the intrusive list of queue
+// entries parked on it. The idle-skip scheduler parks an issue-queue or
+// load-store-queue entry whose blocking source cell is still 0 on that cell
+// (Machine.park) instead of re-polling it every cycle; every write of a
+// ready cell goes through Machine.unpark, which puts the parked entries back
+// on their queues in the same statement sequence.
+type readyCell struct {
+	at   int64
+	wait *DynInst
+}
+
 // producer is anything a renamed source can wait on: an in-flight
 // instruction's register result, a store's memory value, a slot filled by a
 // remote renaming response, or an immediately available creation-copy value.
 // Every one of those reduces to the same two words, so a producer simply
-// points at them: the ready-time cell (0 = not yet produced; real cycles
-// start at 1) and the value cell. An instruction's register result points
-// into its wrAt/wrVal cells, a store's memory value at its tMA/storeVal
-// fields, a renaming response at its slot. readyAt is the hottest read in
-// the simulator — every waiting instruction re-polls its blocking source
-// through it — and earlier representations (an interface with dynamic
-// dispatch, then a 40-byte tagged union with a kind switch) both showed up
-// at the top of the CPU profile; two direct loads do not.
+// points at them: the ready cell and the value cell. An instruction's
+// register result points into its wrAt/wrVal cells, a store's memory value
+// at its tMA/storeVal fields, a renaming response at its slot. Earlier
+// representations (an interface with dynamic dispatch, then a 40-byte
+// tagged union with a kind switch) both showed up at the top of the CPU
+// profile; two direct loads do not.
 type producer struct {
-	t *int64
+	t *readyCell
 	v *uint64
 }
 
-func slotProd(sl *slot) producer { return producer{t: &sl.at, v: &sl.v} }
+func slotProd(sl *slot) producer { return producer{t: &sl.readyCell, v: &sl.v} }
 func regProd(d *DynInst, r isa.Reg) producer {
 	i := d.wrSlot(r)
 	return producer{t: &d.wrAt[i], v: &d.wrVal[i]}
@@ -139,7 +139,7 @@ func (p *producer) valid() bool { return p.t != nil }
 // available. A consumer stage running at cycle c may use the value when
 // readyAt() >= 0 && readyAt() < c.
 func (p *producer) readyAt() int64 {
-	if t := *p.t; t != 0 {
+	if t := p.t.at; t != 0 {
 		return t
 	}
 	return -1
@@ -152,13 +152,16 @@ func (p *producer) value() uint64 { return *p.v }
 // "destination d serves as a caching of the missing source") and remotely
 // fetched memory words. Slots are arena-allocated.
 type slot struct {
-	v  uint64
-	at int64 // 0 until filled
+	v uint64
+	readyCell
 }
 
-func (s *slot) fill(v uint64, at int64) {
+// fill publishes a renaming response's value, ready at cycle at, and wakes
+// the entries parked on the slot.
+func (m *Machine) fill(s *slot, v uint64, at int64) {
 	s.v = v
 	s.at = at
+	m.unpark(&s.readyCell)
 }
 
 // srcRef is one resolved register source of an instruction.
@@ -189,7 +192,14 @@ type DynInst struct {
 	class           isa.Class
 	computedAtFetch bool
 	nsrcs           uint8
-	srcs            [maxSrcs]srcRef
+	// ewSrcIdx/maSrcIdx are the wake computations' source cursors (see
+	// ewSrcMax below), declared here to pack with the other small fields.
+	ewSrcIdx, maSrcIdx uint8
+	// branch outcome, resolved at fetch or EW
+	taken, resolved bool
+	nextIP          int64
+
+	srcs [maxSrcs]srcRef
 	// Register-result cells: wrRegs names the (at most maxWr) registers the
 	// instruction writes, wrVal/wrAt their values and ready cycles (0 = not
 	// yet produced; real cycles start at 1). Cells are claimed
@@ -200,32 +210,26 @@ type DynInst struct {
 	// zeroing and GC-scanning the arena dominated fork-heavy workloads.
 	wrRegs [maxWr]isa.Reg
 	nwr    uint8
-	wrAt   [maxWr]int64
+	wrAt   [maxWr]readyCell
 	wrVal  [maxWr]uint64
 
 	addr     uint64 // effective address (mem ops), set at EW
 	storeVal uint64 // store data, set at MA
 	memSrc   producer
 
-	// branch outcome, resolved at fetch or EW
-	taken    bool
-	nextIP   int64
-	resolved bool
-
-	// For fork instructions: the created section, and the non-volatile
-	// registers that were not computed at the fork point and must be
-	// linked to the creator's current producers at the rename stage.
-	// pendingCopy is sized for the whole fork-copied register set (an init
-	// check pins cap >= len(emu.NonVolatile)), so doFork can never overflow
-	// it — the count is a property of the ABI, not of the workload size.
-	createdSec  *Section
-	pendingCopy [16]isa.Reg
-	nPending    uint8
+	// For fork instructions: the created section. Its non-volatile
+	// registers that were not computed at the fork point (not full in its
+	// creation-message copies) are linked to the creator's current
+	// producers at the rename stage.
+	createdSec *Section
 
 	// Stage timestamps (0 = not yet / not applicable): fetch-decode,
 	// register-rename, execute-write-back, address-rename, memory-access,
-	// retire. These are the six columns of the paper's Fig. 10.
-	tFD, tRR, tEW, tAR, tMA, tRET int64
+	// retire. These are the six columns of the paper's Fig. 10. tMA is a
+	// ready cell because it doubles as a store's memory-value ready time.
+	tFD, tRR, tEW, tAR int64
+	tMA                readyCell
+	tRET               int64
 
 	// ewWakeAt/maWakeAt cache the earliest cycle the instruction can pass
 	// the execute-write-back / memory-access stage (0 = not yet known).
@@ -241,14 +245,17 @@ type DynInst struct {
 	// accumulation has not started (real ready times are >= 1); for the ma
 	// pair index 0 is the loaded-value producer, index i+1 is srcs[i].
 	ewSrcMax, maSrcMax int64
-	ewSrcIdx, maSrcIdx uint8
 	// ewBlock/maBlock point at the ready cell of the source the last wake
-	// computation blocked on. While that cell is still zero the instruction
-	// cannot possibly pass the stage, so the issue scans skip it with a
-	// single load instead of re-entering the wake computation — the
-	// difference between the blocked and runnable cases dominated the CPU
-	// profile, since most queue residents are blocked most cycles.
-	ewBlock, maBlock *int64
+	// computation blocked on. While that cell is still 0 the instruction
+	// cannot possibly pass the stage. Under the idle-skip scheduler it is
+	// then parked on that cell's waiter list, linked through nextWait: an
+	// entry is off its queue only while its blocking cell is 0, and the
+	// write of the cell puts it back synchronously (Machine.unpark). An
+	// instruction sits in at most one of the issue and load-store queues
+	// (it enters the load-store queue after leaving the issue queue), so one
+	// link serves both.
+	ewBlock, maBlock *readyCell
+	nextWait         *DynInst
 }
 
 func (d *DynInst) isMem() bool { return d.class == isa.ClassLoad || d.class == isa.ClassStore }
@@ -256,22 +263,22 @@ func (d *DynInst) isMem() bool { return d.class == isa.ClassLoad || d.class == i
 // ewBlocked reports that d provably cannot pass the execute-write-back
 // stage this cycle: no cached wake, and the source the last wake
 // computation blocked on is still unproduced. This is the single
-// definition of the skip test the issue scans and nextWake apply — the
-// exactness of the idle-skip scheduler rests on it, so it must not be
-// re-derived at call sites.
+// definition of the blocked test — selectEW parks such an entry on
+// d.ewBlock and nextWake skips it — and the exactness of the idle-skip
+// scheduler rests on it, so it must not be re-derived at call sites.
 func (d *DynInst) ewBlocked() bool {
-	return d.ewWakeAt == 0 && d.ewBlock != nil && *d.ewBlock == 0
+	return d.ewWakeAt == 0 && d.ewBlock != nil && d.ewBlock.at == 0
 }
 
 // maBlocked is ewBlocked's memory-access-stage counterpart.
 func (d *DynInst) maBlocked() bool {
-	return d.maWakeAt == 0 && d.maBlock != nil && *d.maBlock == 0
+	return d.maWakeAt == 0 && d.maBlock != nil && d.maBlock.at == 0
 }
 
 // done reports whether the instruction has produced everything it will.
 func (d *DynInst) done() bool {
 	if d.isMem() {
-		return d.tMA != 0
+		return d.tMA.at != 0
 	}
 	return d.tEW != 0
 }
@@ -334,7 +341,9 @@ type sectionMsg struct {
 // Core is one core's pipeline state. The queues are reusable-buffer
 // structures: the FIFOs slide instead of re-slicing, and the issue/load-store
 // queues delete by swap (their storage order carries no meaning — selection
-// orders by the explicit (section position, ordinal) comparison).
+// orders by the explicit (section position, ordinal) comparison). Under the
+// idle-skip scheduler iq and lsq hold only entries that are not parked on a
+// ready cell (see readyCell).
 type Core struct {
 	id        int
 	rf        [isa.NumRegs]val // fetch-stage register file
@@ -346,12 +355,6 @@ type Core struct {
 	lsq       []*DynInst // waiting memory access (unordered)
 	live      int        // hosted, not fully retired sections
 	fetched   int64      // statistics
-
-	// ewSel/maSel are the issue picks (indexes into iq/lsq, -1 = none) the
-	// parallel scheduler's select phase computes each cycle for the apply
-	// phase to consume (see parallel.go). The sequential schedulers never
-	// read them.
-	ewSel, maSel int
 }
 
 // Machine is the whole chip.
@@ -379,6 +382,10 @@ type Machine struct {
 
 	pendingCreates   int
 	regReqs, memReqs int64
+	// selVisits counts the queue entries the EW/MA issue selection visited:
+	// a host-independent measure of the selection work, for the tests that
+	// keep it from growing with the queue length.
+	selVisits int64
 
 	// retirePick/arPick are the idle-skip scheduler's per-core work lists for
 	// the two stages that scan the section order: one pass over the live
@@ -410,17 +417,6 @@ type Machine struct {
 // DMH returns the data memory hierarchy (the committed memory), for
 // inspection after Run.
 func (m *Machine) DMH() *emu.Memory { return m.dmh }
-
-// The fork-copy staging array must hold the whole non-volatile set: doFork
-// appends one entry per not-yet-computed register of emu.NonVolatile, so its
-// capacity is an ABI property. Checked at init so an extension of the
-// register set cannot silently truncate fork copies at runtime.
-func init() {
-	if n := len(emu.NonVolatile); n > len(DynInst{}.pendingCopy) {
-		panic(fmt.Sprintf("machine: DynInst.pendingCopy holds %d registers, emu.NonVolatile has %d",
-			len(DynInst{}.pendingCopy), n))
-	}
-}
 
 // withDefaults returns cfg with every zero field replaced by its default.
 // New applies it on construction; the warm pool (warmpool.go) applies it to
@@ -456,7 +452,7 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, prog: prog, dyns: newArena[DynInst](dynChunk), slots: newArena[slot](slotChunk)}
 	for i := 0; i < cfg.Cores; i++ {
-		m.cores = append(m.cores, &Core{id: i, ewSel: -1, maSel: -1})
+		m.cores = append(m.cores, &Core{id: i})
 	}
 	m.retirePick = make([]*Section, cfg.Cores)
 	m.arPick = make([]*Section, cfg.Cores)
@@ -495,7 +491,6 @@ func (m *Machine) Reset() {
 		c.lsq = c.lsq[:0]
 		c.live = 0
 		c.fetched = 0
-		c.ewSel, c.maSel = -1, -1
 	}
 	for _, r := range m.reqs {
 		m.releaseRequest(r)
@@ -515,6 +510,7 @@ func (m *Machine) Reset() {
 	m.err = nil
 	m.pendingCreates = 0
 	m.regReqs, m.memReqs = 0, 0
+	m.selVisits = 0
 	m.createMsgs, m.reqHops, m.respMsgs, m.dmhAnswers = 0, 0, 0, 0
 	m.dmh.Reset()
 	m.boot()
@@ -618,15 +614,13 @@ func (m *Machine) assignHost(s *Section, deliverAt int64) {
 }
 
 // Run simulates until completion and returns the result. The default
-// scheduler is idle-skip (see runIdleSkip); Config.Dense selects the
-// reference dense loop, Config.SimWorkers > 1 the parallel phase scheduler
-// (see parallel.go). All three produce bit-identical results.
+// scheduler is idle-skip (see runIdleSkip), which parks blocked issue-queue
+// and load-store-queue entries on their blocking producer cell;
+// Config.Dense selects the reference dense loop, which re-scans every
+// queued entry every cycle. Both produce bit-identical results.
 func (m *Machine) Run() (*Result, error) {
 	if m.cfg.Dense {
 		return m.runDense()
-	}
-	if m.cfg.SimWorkers > 1 {
-		return m.runParallel()
 	}
 	return m.runIdleSkip()
 }
@@ -666,7 +660,7 @@ func (m *Machine) runDense() (*Result, error) {
 	}
 }
 
-// runIdleSkip is the work-list-driven scheduler. Three observations make it
+// runIdleSkip is the work-list-driven scheduler. Four observations make it
 // exact (not approximate):
 //
 //   - The two stages that scan the whole section order per core (retire and
@@ -689,6 +683,13 @@ func (m *Machine) runDense() (*Result, error) {
 //     nextWake enumerates every such timestamp, so the clock can jump
 //     straight to the minimum — every skipped cycle is one the dense loop
 //     would have spent doing nothing.
+//   - An issue or load-store queue entry whose blocking source cell is still
+//     0 cannot pass its stage, so selection parks it on that cell and no
+//     longer visits it (park). Every write of a ready cell unparks its
+//     entries synchronously, and a cell written at cycle t holds a ready
+//     time >= t, so the entry is back on its queue before the first cycle
+//     it could be eligible at; selection orders by (section position,
+//     ordinal), never by queue position, so re-queuing changes no pick.
 //
 // The stall detector and the cycle cap are clamped into the jump so that
 // pathological programs fail at the same cycle, with the same error, as
@@ -797,44 +798,22 @@ const never = int64(math.MaxInt64)
 // condition is decided by stored timestamps alone). Entries may be
 // conservative (too early just wastes a visit); they must never be late.
 // Each entry mirrors one `... < m.cycle` / `... >= m.cycle` comparison in
-// the stage and request code. The enumeration is split into a per-core half
-// (nextWakeCores, strided so the parallel scheduler can partition it across
-// workers) and a global half (nextWakeGlobal: section heads and requests);
-// clamping each entry before taking the minimum is order-independent, so the
-// split merge equals the single-pass value exactly.
+// the stage and request code. Parked entries contribute nothing: they wait
+// on a cell whose write is itself an action with its own wake entry.
 func (m *Machine) nextWake() int64 {
-	w := m.nextWakeCores(0, 1)
-	if g := m.nextWakeGlobal(); g < w {
-		w = g
-	}
-	return w
-}
-
-// clampWake floors a wake entry to the next cycle: anything at or before the
-// current cycle can only be acted on from cycle+1.
-func (m *Machine) clampWake(t int64) int64 {
-	if t <= m.cycle {
-		return m.cycle + 1
-	}
-	return t
-}
-
-// nextWakeCores enumerates the per-core wake sources of cores from, from+
-// stride, from+2·stride, … — the core-local state only (fetch slot, message
-// FIFO, suspension list, rename/issue/load-store queues). It writes nothing
-// but the visited instructions' own write-once wake caches (via ewWake and
-// maWake), so strided calls over disjoint core sets are safe concurrently.
-func (m *Machine) nextWakeCores(from, stride int) int64 {
 	w := never
 	wake := func(t int64) {
-		if t = m.clampWake(t); t < w {
+		if t <= m.cycle {
+			t = m.cycle + 1 // anything due now can only act from cycle+1
+		}
+		if t < w {
 			w = t
 		}
 	}
-	for ci := from; ci < len(m.cores); ci += stride {
-		c := m.cores[ci]
+	for _, c := range m.cores {
 		if c.live == 0 {
-			// Every wake source below is state of a live hosted section.
+			// Every per-core wake source below is state of a live hosted
+			// section.
 			continue
 		}
 		if c.fetch != nil {
@@ -870,21 +849,6 @@ func (m *Machine) nextWakeCores(from, stride int) int64 {
 			wake(m.maWake(d))
 		}
 	}
-	return w
-}
-
-// nextWakeGlobal enumerates the wake sources that live outside any single
-// core: the in-order address-rename and retire heads of the live sections,
-// and the in-flight renaming requests. It reads section and request state
-// plus producer ready cells — disjoint from the wake caches nextWakeCores
-// writes — so the parallel scheduler overlaps it with the per-core halves.
-func (m *Machine) nextWakeGlobal() int64 {
-	w := never
-	wake := func(t int64) {
-		if t = m.clampWake(t); t < w {
-			w = t
-		}
-	}
 	// Sections before m.oldest are dumped; later ones host the in-order
 	// address-rename and retire heads.
 	for _, s := range m.order[m.oldest:] {
@@ -897,7 +861,7 @@ func (m *Machine) nextWakeGlobal() int64 {
 			h := s.Insts[s.retired]
 			if h.done() {
 				if h.isMem() {
-					wake(h.tMA + 1)
+					wake(h.tMA.at + 1)
 				} else {
 					wake(h.tEW + 1)
 				}

@@ -1,13 +1,17 @@
-// Three-way scheduler oracle over the full PBBS suite. This lives in the
-// external test package because internal/pbbs imports internal/backend,
-// which imports internal/machine — an in-package test would be an import
-// cycle. The small hand-built workloads' three-way checks (and the
+// Scheduler oracle over the full PBBS suite. This lives in the external test
+// package because internal/pbbs imports internal/backend, which imports
+// internal/machine — an in-package test would be an import cycle. The small
+// hand-built workloads' dense-vs-idle-skip checks (and the
 // scheduler-internals tests) stay in sched_test.go.
 package machine_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
@@ -17,28 +21,22 @@ import (
 	"repro/internal/pbbs"
 )
 
-// oracleWorkers is the parallel scheduler's worker count in the oracle runs:
-// more workers than the host has cores on small CI machines, so the
-// cross-worker interleavings are exercised (and, under -race, watched)
-// regardless of host width.
-const oracleWorkers = 4
-
 // runMachine executes a compiled kernel on one scheduler and returns the
 // full machine result. The program and inputs are built once by the caller
-// and shared across the three schedulers: timing rows carry instruction
-// pointers, so bit-identity is only meaningful against the same compilation.
-func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n, cores int, dense bool, workers int) *machine.Result {
+// and shared across the schedulers: timing rows carry instruction pointers,
+// so bit-identity is only meaningful against the same compilation. The
+// kernel's checksum is checked against its Go reference.
+func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n, cores int, dense bool) *machine.Result {
 	t.Helper()
 	mb := &backend.Machine{Cfg: machine.Config{
 		Cores:         cores,
 		CreateLatency: 2,
 		Shortcut:      true,
 		Dense:         dense,
-		SimWorkers:    workers,
 	}}
 	res, err := mb.Run(prog, in, false)
 	if err != nil {
-		t.Fatalf("%s n=%d cores=%d dense=%v workers=%d: %v", k.Name, n, cores, dense, workers, err)
+		t.Fatalf("%s n=%d cores=%d dense=%v: %v", k.Name, n, cores, dense, err)
 	}
 	want, err := k.Ref(n, in)
 	if err != nil {
@@ -78,38 +76,74 @@ func sameResult(t *testing.T, label string, a, b *machine.Result) {
 	}
 }
 
-// TestThreeWayOracle pins the tentpole's exactness claim on the paper's
-// workloads: for every one of the ten PBBS kernels, the dense reference
-// loop, the sequential idle-skip scheduler and the parallel phase scheduler
-// produce bit-identical results — same cycle count, same per-instruction
-// stage timestamps, same NoC accounting, same final architectural state. CI
-// runs this under -race, which also checks the parallel scheduler's phase
-// discipline (no unsynchronized cross-worker access) on real workloads.
-// TestBigNParallelMatches extends the oracle into the paper-scale regime: a
-// quickSort large enough to churn hundreds of sections across 64 cores — the
-// regime the parallel scheduler exists for, where the per-cycle queues are
-// long enough to cross the worker-broadcast threshold organically. The dense
-// leg is skipped (minutes-slow out here); idle-skip is the oracle. -short
-// keeps it to a seconds-scale size.
-func TestBigNParallelMatches(t *testing.T) {
+// bigNDigests are the recorded digests of the paper-scale quickSort runs
+// (64 crossbar cores, shortcut on, seed 1), one "<n> <sha256>" line per size.
+const bigNDigests = "testdata/bign_digests.txt"
+
+// resultDigest is a SHA-256 over everything a run reports: the headline
+// counters, every section record and every per-instruction timing row (the
+// instruction itself by its IP, the pointer being run-specific).
+func resultDigest(r *machine.Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "cycles=%d insts=%d fetch=%d retire=%d rax=%d cores=%d net=%s\n",
+		r.Cycles, r.Instructions, r.FetchDone, r.RetireDone, r.RAX, r.Cores, r.NetName)
+	fmt.Fprintf(h, "regs=%v fetched=%v\n", r.Regs, r.FetchedPerCore)
+	fmt.Fprintf(h, "reqs=%d/%d create=%d hops=%d resp=%d dmh=%d\n",
+		r.RegRequests, r.MemRequests, r.CreateMessages, r.RequestHops, r.ResponseMessages, r.DMHAnswers)
+	for _, s := range r.Sections {
+		fmt.Fprintf(h, "sec %+v\n", s)
+	}
+	for _, t := range r.Timings {
+		fmt.Fprintf(h, "t %d %d %d %d %d %d %d %d %d %d %d\n",
+			t.Section, t.SecPos, t.Idx, t.IP, t.Level, t.FD, t.RR, t.EW, t.AR, t.MA, t.RET)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBigNDigest pins the idle-skip scheduler in the paper-scale regime,
+// where the dense oracle is minutes-slow: quickSort at n=256 and n=512 on 64
+// cores must reproduce, bit for bit, the result digest recorded in testdata
+// before the issue queues learned to park blocked entries. -short checks
+// n=256 only.
+func TestBigNDigest(t *testing.T) {
+	raw, err := os.ReadFile(bigNDigests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var n int
+		var d string
+		if _, err := fmt.Sscanf(line, "%d %s", &n, &d); err != nil {
+			t.Fatalf("%s: bad line %q: %v", bigNDigests, line, err)
+		}
+		want[n] = d
+	}
 	k, err := pbbs.Find("quicksort")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 512
+	sizes := []int{256, 512}
 	if testing.Short() {
-		n = 128
+		sizes = sizes[:1]
 	}
-	prog, err := k.Build(n, minic.ModeFork)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range sizes {
+		prog, err := k.Build(n, minic.ModeFork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := runMachine(t, k, prog, k.Gen(n, 1), n, 64, false)
+		if got := resultDigest(res); got != want[n] {
+			t.Errorf("%s n=%d cores=64: result digest %s, recorded %s", k.Name, n, got, want[n])
+		}
 	}
-	in := k.Gen(n, 1)
-	skip := runMachine(t, k, prog, in, n, 64, false, 0)
-	par := runMachine(t, k, prog, in, n, 64, false, oracleWorkers)
-	sameResult(t, fmt.Sprintf("%s n=%d cores=64 idle-skip vs parallel", k.Name, n), skip, par)
 }
 
+// TestThreeWayOracle pins the idle-skip scheduler's exactness on the paper's
+// workloads: for every PBBS kernel, the Go reference checksum, the dense
+// reference loop and the idle-skip scheduler agree — and the two schedulers
+// bit-identically: same cycle count, same per-instruction stage timestamps,
+// same NoC accounting, same final architectural state.
 func TestThreeWayOracle(t *testing.T) {
 	for _, k := range pbbs.Kernels() {
 		k := k
@@ -121,13 +155,52 @@ func TestThreeWayOracle(t *testing.T) {
 			}
 			in := k.Gen(n, 1)
 			for _, cores := range []int{1, 4, 16} {
-				dense := runMachine(t, k, prog, in, n, cores, true, 0)
-				skip := runMachine(t, k, prog, in, n, cores, false, 0)
-				par := runMachine(t, k, prog, in, n, cores, false, oracleWorkers)
-				label := fmt.Sprintf("%s n=%d cores=%d", k.Name, n, cores)
-				sameResult(t, label+" dense vs idle-skip", dense, skip)
-				sameResult(t, label+" idle-skip vs parallel", skip, par)
+				dense := runMachine(t, k, prog, in, n, cores, true)
+				skip := runMachine(t, k, prog, in, n, cores, false)
+				sameResult(t, fmt.Sprintf("%s n=%d cores=%d dense vs idle-skip", k.Name, n, cores), dense, skip)
 			}
 		})
+	}
+}
+
+// TestSelectionWorkFlatInN pins the point of parking blocked entries: the
+// queue entries the idle-skip scheduler's EW/MA selection visits per
+// simulated cycle must not grow with the problem size. quickSort's queues
+// grow with n, so an O(queue) scan creeping back shows up here as a ratio
+// far above 2, independent of the host: polling every queued entry visits
+// 4.0x more per cycle at n=256 than at n=64, and 8.0x more at n=512. -short
+// compares against n=256.
+func TestSelectionWorkFlatInN(t *testing.T) {
+	k, err := pbbs.Find("quicksort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCycle := func(n int) float64 {
+		prog, err := k.Build(n, minic.ModeFork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := machine.New(prog, machine.DefaultConfig(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.Inject(prog, m.DMH(), k.Gen(n, 1)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := float64(machine.SelectVisits(m)) / float64(res.Cycles)
+		t.Logf("n=%d: %d cycles, %.2f selection visits per cycle", n, res.Cycles, v)
+		return v
+	}
+	bigN := 512
+	if testing.Short() {
+		bigN = 256
+	}
+	small, big := perCycle(64), perCycle(bigN)
+	if big > 2*small {
+		t.Errorf("selection visits per cycle grew %.1fx from n=64 to n=%d (want <= 2x)", big/small, bigN)
 	}
 }

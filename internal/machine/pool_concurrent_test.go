@@ -32,9 +32,8 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 	const maxIdle = 2
 	p := &Pool{MaxIdle: maxIdle}
 	var gets, puts atomic.Int64
-	variants := []Config{base, base, base}
+	variants := []Config{base, base}
 	variants[1].Dense = true
-	variants[2].SimWorkers = 3
 
 	const workers = 8
 	iters := 6
@@ -54,9 +53,8 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 					t.Errorf("worker %d: Get: %v", w, err)
 					return
 				}
-				if m.cfg.Dense != cfg.Dense || m.cfg.SimWorkers != cfg.SimWorkers {
-					t.Errorf("worker %d: machine not re-armed: dense=%v workers=%d",
-						w, m.cfg.Dense, m.cfg.SimWorkers)
+				if m.cfg.Dense != cfg.Dense {
+					t.Errorf("worker %d: machine not re-armed: dense=%v", w, m.cfg.Dense)
 				}
 				got, err := m.Run()
 				if err != nil {

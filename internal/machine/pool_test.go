@@ -80,7 +80,7 @@ func TestFifoRemoveKeepsOrder(t *testing.T) {
 func TestMaatTable(t *testing.T) {
 	m := &Machine{}
 	var tbl maat
-	cell := make([]int64, 600)
+	cell := make([]readyCell, 600)
 	vals := make([]uint64, 600)
 	prod := func(i int) producer { return producer{t: &cell[i], v: &vals[i]} }
 
@@ -178,7 +178,7 @@ func TestMaatBigN(t *testing.T) {
 	m := &Machine{}
 	var tbl maat
 	const n = 5000
-	cell := make([]int64, n)
+	cell := make([]readyCell, n)
 	for i := 0; i < n; i++ {
 		m.maatPut(&tbl, uint64(i*8), producer{t: &cell[i]})
 	}
@@ -262,4 +262,72 @@ func TestResetAfterError(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkIdentical(t, "reset after error", want, got)
+}
+
+// parkedState counts the waiter-list heads and links set anywhere in m's
+// arenas — every chunk, used or not — so a stale list cannot hide in the
+// region a rewound arena will hand out next.
+func parkedState(m *Machine) (heads, links int) {
+	for _, ch := range m.dyns.chunks {
+		for i := range ch {
+			d := &ch[i]
+			if d.nextWait != nil {
+				links++
+			}
+			if d.tMA.wait != nil {
+				heads++
+			}
+			for j := range d.wrAt {
+				if d.wrAt[j].wait != nil {
+					heads++
+				}
+			}
+		}
+	}
+	for _, ch := range m.slots.chunks {
+		for i := range ch {
+			if ch[i].wait != nil {
+				heads++
+			}
+		}
+	}
+	return heads, links
+}
+
+// TestResetClearsWaiterLists: a run cut short leaves entries parked on
+// producer cells that were never written. Reset must leave no waiter-list
+// head or link behind (the arena rewind zeroes them with the cells), so the
+// next run starts with every entry on its queue and matches a fresh run.
+func TestResetClearsWaiterLists(t *testing.T) {
+	p := mustSumFork(t, 40)
+	cfg := DefaultConfig(4)
+	cfg.MaxCycles = 60 // abort while consumers wait on in-flight producers
+	m, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err == nil {
+		t.Fatal("truncated run unexpectedly succeeded")
+	}
+	if heads, links := parkedState(m); heads == 0 {
+		t.Fatalf("the truncated run parked nothing (heads %d, links %d): the test no longer exercises Reset", heads, links)
+	}
+	m.Reset()
+	if heads, links := parkedState(m); heads != 0 || links != 0 {
+		t.Fatalf("after Reset: %d waiter-list heads and %d links left", heads, links)
+	}
+	m.cfg.MaxCycles = 100 << 20
+	got, err := m.Run()
+	if err != nil {
+		t.Fatalf("run after Reset: %v", err)
+	}
+	fresh, err := New(p, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentical(t, "reset with parked entries", want, got)
 }

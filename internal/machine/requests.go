@@ -190,7 +190,7 @@ func (m *Machine) deliver(r *request, p *producer) {
 		return // value not produced yet; the export waits
 	}
 	back := m.cfg.Net.Latency(r.target.Core, r.reqSec.Core)
-	r.sl.fill(p.value(), m.cycle+back)
+	m.fill(r.sl, p.value(), m.cycle+back)
 	r.done = true
 	m.respMsgs++
 	m.progress++
@@ -211,7 +211,7 @@ func (m *Machine) answerFromCommitted(r *request) {
 	// One cycle to reach the DMH/loader, one processing cycle, one cycle
 	// back: the value is usable three cycles after the request left
 	// (Fig. 10's "counting 3 cycles to reach the producer and return").
-	r.sl.fill(v, m.cycle+2)
+	m.fill(r.sl, v, m.cycle+2)
 	r.done = true
 	m.respMsgs++
 	m.dmhAnswers++

@@ -226,18 +226,16 @@ func (m *Machine) pickSection(c *Core) {
 // doFork creates the continuation section (starting at the instruction after
 // the fork) and sends its creation message: the forked IP, the stack pointer
 // and the non-volatile registers (§4.1). Registers that are not computed at
-// the fork point cannot travel in the message; they are linked to the
-// creator's current producers when the fork passes the rename stage (at that
-// point every older write has been renamed and no younger one exists, so the
-// creator's RAT entry is exactly the value the copy must carry).
+// the fork point cannot travel in the message (their copy stays empty);
+// they are linked to the creator's current producers when the fork passes
+// the rename stage (at that point every older write has been renamed and no
+// younger one exists, so the creator's RAT entry is exactly the value the
+// copy must carry).
 func (m *Machine) doFork(c *Core, sec *Section, d *DynInst) {
 	created := m.newSection(d.IP+1, sec.curLevel, m.cycle)
 	for _, r := range emu.NonVolatile {
 		if c.rf[r].full {
 			created.init[r] = c.rf[r]
-		} else {
-			d.pendingCopy[d.nPending] = r
-			d.nPending++
 		}
 	}
 	d.createdSec = created
@@ -297,11 +295,13 @@ func (m *Machine) stageRR(c *Core) {
 	for _, r := range m.regWriteSet(d.In) {
 		sec.rat[r] = regProd(d, r)
 	}
-	if d.In.Op == isa.FORK && d.nPending > 0 {
+	if d.In.Op == isa.FORK {
 		// Deferred non-volatile copies: link the created section to the
 		// creator's current producers.
-		for _, r := range d.pendingCopy[:d.nPending] {
-			d.createdSec.rat[r] = *m.ratLookup(sec, r, d)
+		for _, r := range emu.NonVolatile {
+			if !d.createdSec.init[r].full {
+				d.createdSec.rat[r] = *m.ratLookup(sec, r, d)
+			}
 		}
 	}
 	d.tRR = m.cycle
@@ -330,26 +330,30 @@ func (m *Machine) stageEW(c *Core) {
 }
 
 // selectEW returns the index in c.iq of the instruction the execute-write-back
-// stage issues this cycle, or -1. The scan is the selection half of stageEW,
-// shared verbatim by the sequential and parallel schedulers: readiness tests
-// compare stored timestamps against `< m.cycle`, so the pick is a pure
-// function of cycle-start state and is the same whether the scan runs before
-// or interleaved with the cycle's stage applies. The only writes are d's own
-// wake caches (ewWake), which are write-once derived values — safe for the
-// parallel scheduler because an instruction lives in exactly one core's queue.
+// stage issues this cycle, or -1: the oldest entry whose wake cycle has
+// passed. Readiness compares stored timestamps against `< m.cycle`, so the
+// pick is a function of cycle-start state. The dense scheduler scans every
+// entry every cycle; the idle-skip scheduler parks an entry found blocked on
+// its blocking cell (park), so it is visited again only once that cell has
+// been written.
 func (m *Machine) selectEW(c *Core) int {
+	// Every entry queued now is visited exactly once: a parked one is
+	// replaced in its slot by the last entry, which is visited next.
+	m.selVisits += int64(len(c.iq))
+	park := !m.cfg.Dense
 	best := -1
-	for i, d := range c.iq {
-		// Fast paths: a known-blocked instruction costs one load, a cached
-		// wake one comparison; ewWake handles the rest.
-		if d.ewBlocked() {
+	for i := 0; i < len(c.iq); i++ {
+		d := c.iq[i]
+		// A known-blocked instruction costs one load, a cached wake one
+		// comparison; ewWake handles the rest.
+		if d.ewWakeAt == 0 && (d.ewBlocked() || m.ewWake(d) == never) {
+			if park {
+				m.park(&c.iq, i, d.ewBlock)
+				i--
+			}
 			continue
 		}
-		w := d.ewWakeAt
-		if w == 0 {
-			w = m.ewWake(d)
-		}
-		if w > m.cycle {
+		if d.ewWakeAt > m.cycle {
 			continue
 		}
 		if best < 0 || older(d, c.iq[best]) {
@@ -359,9 +363,41 @@ func (m *Machine) selectEW(c *Core) int {
 	return best
 }
 
+// park moves the blocked entry q[i] off its queue onto cell's waiter list.
+// Exact because the entry cannot pass its stage while cell is 0, and the
+// cell's write unparks it (unpark) before the first cycle it could.
+func (m *Machine) park(q *[]*DynInst, i int, cell *readyCell) {
+	d := (*q)[i]
+	swapRemove(q, i)
+	d.nextWait = cell.wait
+	cell.wait = d
+}
+
+// unpark puts every entry parked on cell back on its host core's queue: the
+// issue queue if it has not passed execute-write-back yet, the load-store
+// queue otherwise. Every write of a ready cell is followed by it.
+func (m *Machine) unpark(cell *readyCell) {
+	d := cell.wait
+	if d == nil {
+		return // the common case; skip the pointer store and its GC barrier
+	}
+	cell.wait = nil
+	for d != nil {
+		next := d.nextWait
+		d.nextWait = nil
+		c := m.cores[d.Sec.Core]
+		if d.tEW == 0 {
+			c.iq = append(c.iq, d)
+		} else {
+			c.lsq = append(c.lsq, d)
+		}
+		d = next
+	}
+}
+
 // ewApply issues c.iq[best] through the execute-write-back stage: the apply
-// half of stageEW, run serially (in core order) by both schedulers because it
-// mutates shared state (producer cells consumers on other cores poll).
+// half of stageEW. It writes producer cells consumers on other cores wait
+// on, and unparks their waiters.
 func (m *Machine) ewApply(c *Core, best int) {
 	d := c.iq[best]
 	swapRemove(&c.iq, best)
@@ -381,10 +417,13 @@ func (m *Machine) ewApply(c *Core, best int) {
 				d.setReg(isa.RSP, d.srcValue(isa.RSP)+8, m.cycle)
 			}
 		}
+		m.unparkRegs(d)
 		return
 	}
 	if d.computedAtFetch {
-		return // results already produced in the fetch stage
+		// Results already produced in the fetch stage, before any consumer
+		// was renamed against them: nothing can be parked on them.
+		return
 	}
 	switch d.In.Op {
 	case isa.Jcc:
@@ -406,6 +445,7 @@ func (m *Machine) ewApply(c *Core, best int) {
 		for i := 0; i < out.n; i++ {
 			d.setReg(out.reg[i], out.val[i], m.cycle)
 		}
+		m.unparkRegs(d)
 	}
 }
 
@@ -488,19 +528,21 @@ func (m *Machine) stageMA(c *Core) {
 }
 
 // selectMA is selectEW's memory-access counterpart: the selection half of
-// stageMA, a pure function of cycle-start state (plus d's own write-once wake
-// caches), shared by the sequential and parallel schedulers.
+// stageMA, parking blocked entries on maBlock under the idle-skip scheduler.
 func (m *Machine) selectMA(c *Core) int {
+	m.selVisits += int64(len(c.lsq))
+	park := !m.cfg.Dense
 	best := -1
-	for i, d := range c.lsq {
-		if d.maBlocked() {
+	for i := 0; i < len(c.lsq); i++ {
+		d := c.lsq[i]
+		if d.maWakeAt == 0 && (d.maBlocked() || m.maWake(d) == never) {
+			if park {
+				m.park(&c.lsq, i, d.maBlock)
+				i--
+			}
 			continue
 		}
-		w := d.maWakeAt
-		if w == 0 {
-			w = m.maWake(d)
-		}
-		if w > m.cycle {
+		if d.maWakeAt > m.cycle {
 			continue
 		}
 		if best < 0 || older(d, c.lsq[best]) {
@@ -511,7 +553,8 @@ func (m *Machine) selectMA(c *Core) int {
 }
 
 // maApply performs the memory access of c.lsq[best]: the apply half of
-// stageMA, serial in both schedulers (it fills producer cells).
+// stageMA. It fills producer cells — a load's register results, a store's
+// memory value — and unparks their waiters.
 func (m *Machine) maApply(c *Core, best int) {
 	d := c.lsq[best]
 	swapRemove(&c.lsq, best)
@@ -523,8 +566,21 @@ func (m *Machine) maApply(c *Core, best int) {
 		m.err = err
 		return
 	}
-	d.tMA = m.cycle
+	d.tMA.at = m.cycle
 	m.progress++
+	m.unparkRegs(d)
+	m.unpark(&d.tMA)
+}
+
+// unparkRegs unparks the waiters of d's written register-result cells,
+// after the execute-write-back or memory-access stage wrote some of them. A
+// cell still 0 (a load's value at execute-write-back) keeps its waiters.
+func (m *Machine) unparkRegs(d *DynInst) {
+	for i := range d.wrAt[:d.nwr] {
+		if d.wrAt[i].at != 0 {
+			m.unpark(&d.wrAt[i])
+		}
+	}
 }
 
 // --------------------------------------------------------------- retire ----
@@ -542,7 +598,7 @@ func (m *Machine) retireHead(s *Section) *DynInst {
 	// A stage boundary: the completing event must be strictly older than
 	// this cycle.
 	if h.isMem() {
-		if h.tMA >= m.cycle {
+		if h.tMA.at >= m.cycle {
 			return nil
 		}
 	} else if h.tEW >= m.cycle {

@@ -62,9 +62,9 @@ func cacheKey(prog *isa.Program, in backend.Inputs, p Point) string {
 // machineKey derives the warm-pool identity of a point's machine: the
 // encoded program plus every configuration coordinate that shapes the
 // simulated chip. It deliberately excludes the inputs and the seed (inputs
-// are injected per run after Machine.Reset) and the scheduler knobs (Dense,
-// SimWorkers — the pool re-arms those per Get), so a pooled machine is
-// reused across every point that differs only in workload data or scheduler.
+// are injected per run after Machine.Reset) and the scheduler choice (Dense —
+// the pool re-arms it per Get), so a pooled machine is reused across every
+// point that differs only in workload data or scheduler.
 func machineKey(prog *isa.Program, p Point) string {
 	h := sha256.New()
 	put := func(s string) {

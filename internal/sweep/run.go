@@ -44,12 +44,6 @@ type Engine struct {
 	// default idle-skip one. Simulation outcomes are identical either way
 	// (only SimNs/NsPerCycle differ), so the cache key is unaffected.
 	Dense bool
-	// SimWorkers selects the machine's parallel phase scheduler for every
-	// measurement: > 1 runs each simulation's per-core event phases on that
-	// many goroutines (machine.Config.SimWorkers). Like Dense, it changes
-	// only wall-clock metrics — results are bit-identical by the scheduler
-	// oracle — so the cache key is unaffected.
-	SimWorkers int
 	// Pool, when non-nil, serves machines from a warm pool instead of
 	// constructing one per measurement: points sharing a program and
 	// configuration (same kernel, size, cores, topology — only inputs/seed
@@ -198,7 +192,6 @@ func (e *Engine) Measure(p Point) Record {
 		Shortcut:           p.Shortcut,
 		MaxSectionsPerCore: p.MaxSections,
 		Dense:              e.Dense,
-		SimWorkers:         e.SimWorkers,
 	}
 	// The timed window covers machine acquisition, input injection and the
 	// run, so SimNs reflects what the pool amortizes: a pooled Get is a
