@@ -18,6 +18,22 @@ import (
 	"repro/internal/sweep"
 )
 
+// Connection timeouts of the serve listener: a client has serveHeaderTimeout
+// to send a request's headers, and a kept-alive connection with no request
+// closes after serveIdleTimeout, so stalled or abandoned connections cannot
+// pile up. There is deliberately no timeout on reading a whole request or
+// writing a whole response: a results stream follows its job and stays open
+// for as long as the job runs.
+const (
+	serveHeaderTimeout = 10 * time.Second
+	serveIdleTimeout   = 2 * time.Minute
+)
+
+// newHTTPServer returns serve's HTTP server for h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: serveHeaderTimeout, IdleTimeout: serveIdleTimeout}
+}
+
 // cmdServe runs the long-lived job server: sweeps and machine runs submitted
 // over HTTP execute on the shared engine and content-keyed cache, so the
 // service and the one-shot CLI produce identical results from the same
@@ -80,7 +96,7 @@ func cmdServe(args []string) error {
 	mux := http.NewServeMux()
 	mux.Handle("/fabric/v1/", coord.Handler())
 	mux.Handle("/", srv.Handler())
-	hs := &http.Server{Handler: mux}
+	hs := newHTTPServer(mux)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

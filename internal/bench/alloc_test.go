@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/backend"
@@ -168,6 +169,55 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 	if avg > steadyAllocBudget {
 		t.Errorf("pooled run allocated %.0f times (budget %d) — Get/Put is no longer allocation-free",
 			avg, steadyAllocBudget)
+	}
+}
+
+// freshBytesPerInstBudget bounds the heap bytes a fresh machine allocates per
+// simulated instruction, from New through Run. Arena chunks come from the
+// process-wide free lists a previous run filled, and the timing rows hold no
+// pointer, so what is left is the Result and per-section bookkeeping (~126 B
+// per instruction on quickSort n=64, 16 cores). Allocating DynInst chunks per
+// run again costs ~360 B more.
+const freshBytesPerInstBudget = 160
+
+// TestFreshMachineBytesPerInstruction pins that per-instruction memory is
+// recycled across machines, not only across Reset: after a warm-up run of
+// another shape, a brand-new machine's New + inject + Run stays within
+// freshBytesPerInstBudget bytes per instruction. Bytes, not allocation
+// counts, and per instruction, so the bound does not depend on the host.
+func TestFreshMachineBytesPerInstruction(t *testing.T) {
+	k, err := pbbs.Find("quicksort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := k.ClampN(64)
+	prog, err := k.Build(n, minic.ModeFork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := k.Gen(n, 1)
+	run := func(cores int) *machine.Result {
+		m, err := machine.New(prog, machine.DefaultConfig(cores))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inject(t, m, prog, in)
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(8) // warm-up: fills the chunk free lists
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := run(16)
+	runtime.ReadMemStats(&after)
+	perInst := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Instructions)
+	t.Logf("%.0f bytes per instruction over %d instructions", perInst, res.Instructions)
+	if perInst > freshBytesPerInstBudget {
+		t.Errorf("a fresh machine allocated %.0f bytes per instruction (budget %d): per-instruction memory is no longer recycled across runs",
+			perInst, freshBytesPerInstBudget)
 	}
 }
 

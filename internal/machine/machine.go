@@ -19,11 +19,12 @@
 // against the sequential emulator: same final rax and same final memory.
 //
 // The simulated hot path is allocation-free in steady state: dynamic
-// instructions and renaming slots come from per-machine arenas, sections and
-// requests from free lists, the register alias table is a fixed array and
-// the MAAT an open-addressed table with recycled backing (see pool.go), and
-// the per-core queues reuse their buffers. Machine.Reset rewinds everything
-// for another run on the same program without re-allocating.
+// instructions and renaming slots come from arenas whose chunks a completed
+// run hands back to process-wide free lists, sections and requests from
+// per-machine free lists, the register alias table is a fixed array and the
+// MAAT an open-addressed table with recycled backing (see pool.go), and the
+// per-core queues reuse their buffers. Machine.Reset rewinds everything for
+// another run on the same program without re-allocating.
 package machine
 
 import (
@@ -181,7 +182,7 @@ const maxSrcs = 4
 const maxWr = 2
 
 // DynInst is one dynamic instruction in flight. DynInsts are arena-allocated
-// (a chunked arena, pool.go) and recycled wholesale by Machine.Reset.
+// (a chunked arena, pool.go) and recycled wholesale when the run completes.
 type DynInst struct {
 	Sec   *Section
 	Idx   int // ordinal within the section
@@ -284,7 +285,7 @@ func (d *DynInst) done() bool {
 }
 
 // Section is one instruction flow, created by a fork (or the initial flow).
-// Section shells are pooled and recycled by Machine.Reset.
+// Section shells are pooled per machine and recycled when the run is over.
 type Section struct {
 	ID        int64 // creation sequence number
 	Pos       int   // current position in the machine's total order
@@ -403,8 +404,10 @@ type Machine struct {
 	createMsgs, reqHops, respMsgs, dmhAnswers int64
 
 	// Arenas, free lists and scratch buffers behind the allocation-free hot
-	// path (pool.go). All of them survive Reset, so a warmed machine re-runs
-	// without growing the heap.
+	// path (pool.go). The free lists and buffers survive Reset, so a warmed
+	// machine re-runs without growing the heap; the arenas hand their chunks
+	// to the process-wide lists when a run completes and take them back as
+	// the next run allocates.
 	dyns     arena[DynInst]
 	slots    arena[slot]
 	secFree  []*Section
@@ -450,7 +453,7 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("machine: instruction %d is %s; the machine executes fork programs (use internal/forkify or mini-C -fork mode)", i, prog.Text[i].Op)
 		}
 	}
-	m := &Machine{cfg: cfg, prog: prog, dyns: newArena[DynInst](dynChunk), slots: newArena[slot](slotChunk)}
+	m := &Machine{cfg: cfg, prog: prog, dyns: arena[DynInst]{list: &dynChunks}, slots: arena[slot]{list: &slotChunks}}
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &Core{id: i})
 	}
@@ -474,6 +477,32 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 // (one completed Run) re-runs with no steady-state heap allocation — the
 // property pinned by internal/bench's allocation-regression tests.
 func (m *Machine) Reset() {
+	m.releaseRun()
+	m.dyns.reset()
+	m.slots.reset()
+	for i := range m.retireGen {
+		m.retireGen[i], m.arGen[i] = 0, 0
+		m.retirePick[i], m.arPick[i] = nil, nil
+	}
+	m.pickGen = 0
+	m.cycle, m.nextSecID, m.lastMove, m.progress = 0, 0, 0, 0
+	m.rrHost, m.oldest = 0, 0
+	m.hltSeen, m.quietMove = false, false
+	m.err = nil
+	m.pendingCreates = 0
+	m.regReqs, m.memReqs = 0, 0
+	m.selVisits = 0
+	m.createMsgs, m.reqHops, m.respMsgs, m.dmhAnswers = 0, 0, 0, 0
+	m.dmh.Reset()
+	m.boot()
+}
+
+// releaseRun returns the run's sections and requests to the machine's free
+// lists and empties the core queues. Afterwards the machine holds no
+// reference into its arenas: the sections' instruction lists, alias tables,
+// stalled instructions and address-rename queues, the rename, issue and
+// load-store queues, and the requests' slots are all scrubbed.
+func (m *Machine) releaseRun() {
 	for _, s := range m.order {
 		m.releaseSection(s)
 	}
@@ -497,23 +526,20 @@ func (m *Machine) Reset() {
 	}
 	clear(m.reqs)
 	m.reqs = m.reqs[:0]
-	m.dyns.reset()
-	m.slots.reset()
-	for i := range m.retireGen {
-		m.retireGen[i], m.arGen[i] = 0, 0
-		m.retirePick[i], m.arPick[i] = nil, nil
-	}
-	m.pickGen = 0
-	m.cycle, m.nextSecID, m.lastMove, m.progress = 0, 0, 0, 0
-	m.rrHost, m.oldest = 0, 0
-	m.hltSeen, m.quietMove = false, false
-	m.err = nil
-	m.pendingCreates = 0
-	m.regReqs, m.memReqs = 0, 0
-	m.selVisits = 0
-	m.createMsgs, m.reqHops, m.respMsgs, m.dmhAnswers = 0, 0, 0, 0
-	m.dmh.Reset()
-	m.boot()
+}
+
+// finish builds the Result of a completed run and then recycles the run's
+// per-instruction memory: once the Result has copied out everything it
+// needs, the machine drops its references into the arenas (releaseRun) and
+// the arenas hand their chunks to the process-wide free lists for the next
+// run, on this machine or any other. A failed run skips this and keeps its
+// chunks until Reset.
+func (m *Machine) finish() *Result {
+	r := m.result()
+	m.releaseRun()
+	m.dyns.release()
+	m.slots.release()
+	return r
 }
 
 // boot seeds the committed state and the initial section, the shared tail of
@@ -634,7 +660,7 @@ func (m *Machine) runDense() (*Result, error) {
 			return nil, m.err
 		}
 		if m.done() {
-			return m.result(), nil
+			return m.finish(), nil
 		}
 		m.cycle++
 		if m.cycle > m.cfg.MaxCycles {
@@ -701,7 +727,7 @@ func (m *Machine) runIdleSkip() (*Result, error) {
 			return nil, m.err
 		}
 		if m.done() {
-			return m.result(), nil
+			return m.finish(), nil
 		}
 		if acted {
 			m.cycle++

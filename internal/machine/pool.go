@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -15,8 +16,10 @@ import (
 // dynamic instruction, a map per rename/execute evaluation, interface boxing
 // on every alias-table insert — with the GC charging every simulated cycle.
 // Steady-state simulation on a warmed machine (see Machine.Reset) now
-// allocates nothing per cycle; the regression tests in internal/bench pin
-// that property.
+// allocates nothing per cycle, and since the arena chunks are shared
+// process-wide, a fresh machine allocates no per-instruction arena memory
+// once some earlier run has released enough chunks; the regression tests in
+// internal/bench pin both properties.
 
 // ---------------------------------------------------------------- fifo ----
 
@@ -103,47 +106,99 @@ func swapRemove(q *[]*DynInst, i int) {
 
 // -------------------------------------------------------------- arenas ----
 
-// Arena chunk sizes: one allocation per chunk while the arena grows, zero
-// once it has reached the workload's footprint.
-const (
-	dynChunk  = 256 // DynInst objects (one per dynamic instruction)
-	slotChunk = 512 // renaming-slot cells
+// chunkList is a process-wide free list of arena chunks of one element type
+// and one fixed length. Every machine's arena of that type takes its chunks
+// here and gives them all back when its run completes (Machine.Run), so the
+// per-instruction memory of one simulation is recycled by the next, on this
+// machine or any other, instead of being left to the GC. Every chunk on the
+// list is all zero. The list never shrinks: it holds the peak number of
+// chunks that were ever in use at once across the process.
+//
+// It is a plain mutex-guarded stack, not a sync.Pool: a sync.Pool drops its
+// contents at every other GC, so the next runs would allocate their arenas
+// afresh exactly when allocation is most expensive.
+type chunkList[T any] struct {
+	size int // elements per chunk
+	mu   sync.Mutex
+	free [][]T
+}
+
+// The two arena element types' free lists. DynInst chunks hold one object
+// per dynamic instruction, slot chunks the renaming-slot cells.
+var (
+	dynChunks  = chunkList[DynInst]{size: 256}
+	slotChunks = chunkList[slot]{size: 512}
 )
 
-// arena hands out T objects from reusable chunks. Handed-out objects are
-// always zero, but the scrubbing happens in bulk — fresh chunks come zeroed
-// from make, and reset clears the used prefix wholesale — not per alloc,
-// which the profile showed charging every fetched instruction with a
+// get pops a zero chunk, or makes one when the list is empty.
+func (l *chunkList[T]) get() []T {
+	l.mu.Lock()
+	if k := len(l.free) - 1; k >= 0 {
+		c := l.free[k]
+		l.free[k] = nil
+		l.free = l.free[:k]
+		l.mu.Unlock()
+		return c
+	}
+	l.mu.Unlock()
+	return make([]T, l.size)
+}
+
+// put pushes zero chunks back on the list.
+func (l *chunkList[T]) put(chunks [][]T) {
+	l.mu.Lock()
+	l.free = append(l.free, chunks...)
+	l.mu.Unlock()
+}
+
+// arena hands out T objects from chunks taken from its chunkList. Handed-out
+// objects are always zero, but the scrubbing happens in bulk — chunks come
+// zero from the list, and reset clears the used prefix wholesale — not per
+// alloc, which the profile showed charging every fetched instruction with a
 // ~600-byte memclr. Objects are never freed individually: both uses
-// (DynInst, which sections and the final Result reference until the run is
-// over; slot cells, which can outlive their section via fork copies) stay
-// referenced until Machine.Reset rewinds the arena as a whole.
+// (DynInst, which sections reference until the Result is built; slot cells,
+// which can outlive their section via fork copies) stay referenced until the
+// run is over. A completed run then releases the whole arena to the list; a
+// failed run keeps its chunks until Machine.Reset rewinds them in place.
 type arena[T any] struct {
+	list     *chunkList[T]
 	chunks   [][]T
-	chunk    int
 	ci, used int
 }
 
-func newArena[T any](chunk int) arena[T] { return arena[T]{chunk: chunk} }
-
 func (a *arena[T]) alloc() *T {
 	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]T, a.chunk))
+		a.chunks = append(a.chunks, a.list.get())
 	}
-	p := &a.chunks[a.ci][a.used]
+	c := a.chunks[a.ci]
+	p := &c[a.used]
 	a.used++
-	if a.used == a.chunk {
+	if a.used == len(c) {
 		a.ci++
 		a.used = 0
 	}
 	return p
 }
 
+// reset rewinds the arena over its own chunks, zeroing every handed-out
+// object (the rest of each chunk is still zero).
 func (a *arena[T]) reset() {
-	for i := 0; i <= a.ci && i < len(a.chunks); i++ {
+	for i := 0; i < a.ci; i++ {
 		clear(a.chunks[i])
 	}
+	if a.ci < len(a.chunks) {
+		clear(a.chunks[a.ci][:a.used])
+	}
 	a.ci, a.used = 0, 0
+}
+
+// release scrubs the arena and hands every chunk back to the list, leaving
+// the arena empty. No object it handed out may be referenced afterwards.
+func (a *arena[T]) release() {
+	a.reset()
+	a.list.put(a.chunks)
+	clear(a.chunks)
+	a.chunks = a.chunks[:0]
 }
 
 // ---------------------------------------------------------------- maat ----
@@ -280,9 +335,9 @@ func (m *Machine) releaseMaat(t *maat) {
 // --------------------------------------------------------------- pools ----
 
 // acquireSection returns a recycled or fresh Section shell with a MAAT
-// backing attached. Sections are recycled only by Machine.Reset: the final
-// Result is built from every section of the run, so they stay live until
-// then.
+// backing attached. Sections are recycled only once the run is over
+// (Machine.releaseRun): the final Result is built from every section of the
+// run, so they stay live until then.
 func (m *Machine) acquireSection() *Section {
 	var s *Section
 	if k := len(m.secFree) - 1; k >= 0 {

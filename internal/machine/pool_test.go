@@ -135,10 +135,12 @@ func TestMaatTable(t *testing.T) {
 // TestArenaChunkBoundaries drives an arena across several chunk boundaries —
 // the regime paper-scale (big-N) runs live in, where one simulation allocates
 // thousands of DynInsts — and checks that every handed-out object is distinct,
-// zeroed, and survives a reset/refill cycle without aliasing.
+// zeroed, and survives a reset/refill cycle and a release to the free list
+// without aliasing.
 func TestArenaChunkBoundaries(t *testing.T) {
 	const chunk = 4
-	a := newArena[int64](chunk)
+	list := &chunkList[int64]{size: chunk}
+	a := arena[int64]{list: list}
 	const n = chunk*3 + 2 // three full chunks and a partial fourth
 	seen := make(map[*int64]bool, n)
 	for i := 0; i < n; i++ {
@@ -168,6 +170,34 @@ func TestArenaChunkBoundaries(t *testing.T) {
 	}
 	if len(a.chunks) != 4 {
 		t.Fatalf("refill grew the arena to %d chunks", len(a.chunks))
+	}
+	a.reset()
+	for i := 0; i < n; i++ {
+		*a.alloc() = -1
+	}
+	owned := make(map[*int64]bool, chunk*4)
+	for _, ch := range a.chunks {
+		for i := range ch {
+			owned[&ch[i]] = true
+		}
+	}
+	a.release()
+	if len(a.chunks) != 0 || len(list.free) != 4 {
+		t.Fatalf("release left %d chunks in the arena and %d on the list, want 0 and 4", len(a.chunks), len(list.free))
+	}
+	// A second arena on the same list runs on the released chunks, scrubbed.
+	b := arena[int64]{list: list}
+	for i := 0; i < chunk*4; i++ {
+		p := b.alloc()
+		if *p != 0 {
+			t.Fatalf("alloc %d from released chunks: stale value %d", i, *p)
+		}
+		if !owned[p] {
+			t.Fatalf("alloc %d: fresh chunk while released ones were listed", i)
+		}
+	}
+	if len(list.free) != 0 {
+		t.Fatalf("%d chunks left on the list after taking all 4", len(list.free))
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 
 // InstTiming is the per-stage timing of one dynamic instruction — one row of
 // a Fig. 10 table. A zero means the stage does not apply (e.g. ar/ma for a
-// register-register instruction).
+// register-register instruction). The row holds no pointer — the instruction
+// itself is the program's text at IP (see Result.Text) — so a run's Timings,
+// the largest slice it allocates, is memory the GC never scans.
 type InstTiming struct {
 	Section                 int64 // section ID
 	SecPos                  int   // final position in the total section order
 	Idx                     int   // ordinal within the section (1-based in Label)
-	IP                      int64
-	In                      *isa.Instruction
+	IP                      int64 // index of the instruction in the program text
 	Level                   int32
 	FD, RR, EW, AR, MA, RET int64
 }
@@ -24,11 +25,11 @@ type InstTiming struct {
 // Label renders the paper's "section-ordinal" instruction name (e.g. "2-13").
 func (t InstTiming) Label() string { return fmt.Sprintf("%d-%d", t.SecPos, t.Idx+1) }
 
-// Text renders the instruction. It is a method, not a precomputed field:
-// formatting every dynamic instruction eagerly used to dominate Result
-// construction on big runs, charged to every simulation whether or not a
-// Fig. 10 table was wanted.
-func (t InstTiming) Text() string { return t.In.String() }
+// Text renders the instruction of timing row t. It is a method, not a
+// precomputed field: formatting every dynamic instruction eagerly used to
+// dominate Result construction on big runs, charged to every simulation
+// whether or not a Fig. 10 table was wanted.
+func (r *Result) Text(t InstTiming) string { return r.prog.Text[t.IP].String() }
 
 // SectionInfo summarises one section.
 type SectionInfo struct {
@@ -79,6 +80,8 @@ type Result struct {
 	DMHAnswers int64
 	// NetName identifies the topology used.
 	NetName string
+
+	prog *isa.Program // the simulated program, for Text
 }
 
 // NocMessages returns the total messages charged to the on-chip network:
@@ -110,6 +113,7 @@ func (m *Machine) result() *Result {
 		RAX:              m.arch[isa.RAX],
 		Regs:             m.arch,
 		NetName:          m.cfg.Net.Name(),
+		prog:             m.prog,
 		RegRequests:      m.regReqs,
 		MemRequests:      m.memReqs,
 		CreateMessages:   m.createMsgs,
@@ -141,8 +145,7 @@ func (m *Machine) result() *Result {
 				info.LastRetire = d.tRET
 			}
 			r.Timings = append(r.Timings, InstTiming{
-				Section: s.ID, SecPos: s.Pos, Idx: d.Idx, IP: d.IP,
-				In: d.In, Level: d.Level,
+				Section: s.ID, SecPos: s.Pos, Idx: d.Idx, IP: d.IP, Level: d.Level,
 				FD: d.tFD, RR: d.tRR, EW: d.tEW, AR: d.tAR, MA: d.tMA.at, RET: d.tRET,
 			})
 		}
@@ -191,7 +194,7 @@ func (r *Result) Fig10Table() string {
 		}
 		for _, t := range rows {
 			fmt.Fprintf(&b, "%-7s %-28s %5s %5s %5s %5s %5s %5s\n",
-				t.Label(), t.Text(), dash(t.FD), dash(t.RR), dash(t.EW), dash(t.AR), dash(t.MA), dash(t.RET))
+				t.Label(), r.Text(t), dash(t.FD), dash(t.RR), dash(t.EW), dash(t.AR), dash(t.MA), dash(t.RET))
 		}
 		b.WriteByte('\n')
 	}

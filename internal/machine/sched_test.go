@@ -134,7 +134,7 @@ t: .quad 5
 		var branch, next *InstTiming
 		for i := range r.Timings {
 			ti := &r.Timings[i]
-			if strings.HasPrefix(ti.Text(), "je") {
+			if strings.HasPrefix(r.Text(*ti), "je") {
 				branch = ti
 				if i+1 < len(r.Timings) {
 					next = &r.Timings[i+1]

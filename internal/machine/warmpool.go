@@ -10,11 +10,14 @@ import (
 // Pool is a warm-machine pool layered on Machine.Reset: callers that run
 // many simulations of the same program and configuration (a sweep over
 // seeds, a benchmark's repetitions, a job server's resubmissions) check a
-// machine out, run it, and return it, so the arenas, queue buffers, alias
-// tables and free lists warmed by the first run are reused instead of a
-// fresh machine being constructed — and, in steady state, the run allocates
+// machine out, run it, and return it, so the section shells (with their
+// instruction-list capacity), queue buffers, alias-table backings and
+// request free list warmed by the first run are reused instead of a fresh
+// machine being constructed — and, in steady state, the run allocates
 // nothing (the property pinned by internal/bench's allocation tests, which
-// hold through this pool).
+// hold through this pool). The per-instruction arenas are not the pool's
+// business: every completed run hands their chunks to process-wide free
+// lists (pool.go), which serve fresh and pooled machines alike.
 //
 // Machines are pooled under a caller-provided key that MUST determine the
 // program content and every shape-affecting configuration field (cores,
@@ -38,9 +41,11 @@ type Pool struct {
 	stats PoolStats
 }
 
-// DefaultMaxIdle is the default bound on parked machines. Machines are heavy
-// (their arenas are sized to the workload), so the pool keeps only about as
-// many as a host's worth of sweep workers can have in flight.
+// DefaultMaxIdle is the default bound on parked machines. A parked machine
+// holds no arena chunks (its completed run released them), only its section
+// shells, queue buffers and alias-table backings, sized to its workload; the
+// pool keeps about as many as a host's worth of sweep workers can have in
+// flight.
 const DefaultMaxIdle = 32
 
 // PoolStats counts what the pool did.
