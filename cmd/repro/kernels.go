@@ -36,20 +36,19 @@ func cmdKernels(args []string) error {
 	return kernelsList()
 }
 
-// kernelsList prints the catalog: one row per registered kernel with its
-// source language, mirroring what the server exposes at /v1/kernels.
+// kernelsList prints the catalog: one row per registered kernel, mirroring
+// what the server exposes at /v1/kernels.
 func kernelsList() error {
-	fmt.Printf("%-3s %-40s %-6s %5s\n", "#", "benchmark", "lang", "minN")
+	fmt.Printf("%-3s %-40s %5s\n", "#", "benchmark", "minN")
 	for _, k := range pbbs.Kernels() {
-		fmt.Printf("%-3d %-40s %-6s %5d\n", k.ID, k.Name, k.Lang, k.MinN)
+		fmt.Printf("%-3d %-40s %5d\n", k.ID, k.Name, k.MinN)
 	}
 	return nil
 }
 
 // kernelsDump prints one kernel's generated mini-C at a concrete size, then
-// the assembly the backend compiles it to. For annotated-Go kernels the
-// mini-C is the gofront lowering — exactly the canonical text the golden
-// tests pin.
+// the assembly the backend compiles it to. The mini-C is the gofront
+// lowering — exactly the canonical text the golden tests pin.
 func kernelsDump(sel string, n int, mode string) error {
 	k, err := pbbs.Find(sel)
 	if err != nil {
@@ -80,7 +79,7 @@ func kernelsDump(sel string, n int, mode string) error {
 	if err != nil {
 		return fmt.Errorf("kernels: %s: %w", k.Name, err)
 	}
-	fmt.Printf("// %s (#%d, lang=%s) at n=%d — generated mini-C\n%s\n", k.Name, k.ID, k.Lang, n, src)
+	fmt.Printf("// %s (#%d) at n=%d — generated mini-C\n%s\n", k.Name, k.ID, n, src)
 	fmt.Printf("// %s at n=%d — %s-mode assembly\n%s", k.Name, n, mode, asm)
 	return nil
 }
@@ -90,9 +89,9 @@ func kernelsDump(sel string, n int, mode string) error {
 // canonical (Format∘Parse fixpoint), the emulator run must match the
 // reference checksum, and the many-core machine must agree with the
 // emulator on rax and the full data segment. This is the CI gate that keeps
-// Source, Gen and Ref honest for hand-written and lowered kernels alike.
+// Source, Gen and Ref honest for every kernel.
 func kernelsVet(n int, seed uint64, cores int) error {
-	fmt.Printf("%-3s %-40s %6s %-6s %s\n", "#", "benchmark", "n", "lang", "status")
+	fmt.Printf("%-3s %-40s %6s %s\n", "#", "benchmark", "n", "status")
 	failures := 0
 	for _, k := range pbbs.Kernels() {
 		sizes := []int{k.MinN}
@@ -101,11 +100,11 @@ func kernelsVet(n int, seed uint64, cores int) error {
 		}
 		for _, size := range sizes {
 			if err := vetKernelAt(k, size, seed, cores); err != nil {
-				fmt.Printf("%-3d %-40s %6d %-6s FAIL: %v\n", k.ID, k.Name, size, k.Lang, err)
+				fmt.Printf("%-3d %-40s %6d FAIL: %v\n", k.ID, k.Name, size, err)
 				failures++
 				continue
 			}
-			fmt.Printf("%-3d %-40s %6d %-6s ok\n", k.ID, k.Name, size, k.Lang)
+			fmt.Printf("%-3d %-40s %6d ok\n", k.ID, k.Name, size)
 		}
 	}
 	if failures > 0 {
@@ -125,7 +124,7 @@ func vetKernelAt(k *pbbs.Kernel, n int, seed uint64, cores int) error {
 	if err != nil {
 		return fmt.Errorf("source does not parse: %w", err)
 	}
-	if canon := minic.Format(prog); k.Lang == pbbs.LangGo && canon != src {
+	if minic.Format(prog) != src {
 		return fmt.Errorf("lowered source is not Format-canonical")
 	}
 	if _, err := k.RunOn(backend.NewEmulator(), n, seed, false); err != nil {

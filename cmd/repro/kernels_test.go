@@ -12,10 +12,13 @@ func TestCmdKernelsList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"quickSort", "histogram/counting", "lang", "minic", "go"} {
+	for _, want := range []string{"quickSort", "histogram/counting", "deterministicBFS", "minN"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("kernels listing missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "lang") {
+		t.Errorf("kernels listing still has a lang column:\n%s", out)
 	}
 }
 
@@ -28,7 +31,7 @@ func TestCmdKernelsDump(t *testing.T) {
 		"unsigned long a[8];", // lowered at the requested size
 		"unsigned long main(void)",
 		"fork main", // fork-mode assembly is the default
-		"lang=go",
+		"comparisonSort/quickSort (#2) at n=8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
@@ -38,8 +41,8 @@ func TestCmdKernelsDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "call main") || !strings.Contains(out, "lang=minic") {
-		t.Errorf("call-mode dump of a hand-written kernel:\n%s", out)
+	if !strings.Contains(out, "call main") || !strings.Contains(out, "unsigned long off[9];") {
+		t.Errorf("call-mode dump of the BFS kernel:\n%s", out)
 	}
 }
 

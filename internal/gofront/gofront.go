@@ -1,38 +1,41 @@
 // Package gofront is the compile-from-Go front end of the kernel suite: it
 // scans Go source files for //repro:kernel annotations, lowers the annotated
-// entry function and its helpers from a checked Go subset into the
-// internal/minic AST, and derives the reference checksum by interpreting that
-// same AST in pure Go.
+// entry function and its helpers from a Go subset into the internal/minic
+// AST, and derives the reference checksum by interpreting that same AST in
+// pure Go.
 //
-// The point is single-definition kernels. A hand-written kernel needs three
-// artifacts that nothing forces to agree — a mini-C source template, an input
-// generator, and a pure-Go reference checksum; with gofront all three derive
-// from one annotated Go file:
+// The point is single-definition kernels. A kernel's machine program and its
+// reference checksum both derive from one annotated Go file:
 //
 //   - the machine program is minic.Compile of the lowered source
 //     (minic.Format of the lowered AST is the canonical surface, so the
 //     lowering is inspectable and pinnable byte for byte), and
 //   - the reference checksum is Interp over the very same AST, so the
-//     program and its reference cannot drift apart, and
-//   - the input arrays come from //repro:array annotations (distribution +
-//     length expression), not from hand-kept generator code.
+//     program and its reference cannot drift apart.
 //
 // Annotation grammar (one kernel per file):
 //
-//	//repro:kernel id=2 name=comparisonSort/quickSort minn=2
+//	//repro:kernel id=2 name=comparisonSort/quickSort minn=2 inputs=keys32
 //	//repro:const Shift = 64 - log2(pow2(4*n))
 //	func entry() uint64 { ... }        // doc comment carries the annotations
 //
-//	//repro:array len=n gen=u32
+//	//repro:array len=n
 //	var a []uint64                     // one annotated var per array
 //
-// Annotation expressions (array lengths, //repro:const values) are evaluated
-// over the dataset size n with + - * / % and the helpers pow2(x) (smallest
-// power of two >= x, minimum 2) and log2(x) (exact, x must be a power of
-// two). Inside the kernel body the identifier N and every //repro:const name
-// lower to integer literals; expressions built only from those constants and
-// literals are folded, which is how one Go definition specialises to the
-// per-n mini-C programs the rest of the stack expects.
+// inputs= names the input generator; gofront records the name and leaves
+// resolving it to the kernel suite. Annotation expressions (array lengths,
+// //repro:const values) are evaluated over the dataset size n with
+// + - * / % and the helpers pow2(x) (smallest power of two >= x, minimum 2)
+// and log2(x) (exact, x must be a power of two). Inside the kernel body the
+// identifier N and every //repro:const name lower to integer literals;
+// expressions built only from those constants and literals are folded, which
+// is how one Go definition specialises to the per-n mini-C programs the rest
+// of the stack expects.
+//
+// The subset is parsed with go/parser but not type-checked as Go. Operand
+// types follow mini-C's rules (the lowering infers them the way minic's
+// checker does), so a kernel may mix int64 and uint64 operands or use an
+// integer as an operand of && and ||, which mini-C reads with C truthiness.
 package gofront
 
 import (
@@ -47,25 +50,12 @@ import (
 	"repro/internal/minic"
 )
 
-// GenKind selects the input distribution of an annotated array.
-type GenKind string
-
-// Input distributions. The zero value means "work array": zero-initialised
-// storage with no generated input words.
-const (
-	GenNone GenKind = ""     // no inputs: scratch/output storage
-	GenU32  GenKind = "u32"  // uniform random words in [0, 2^32)
-	GenModN GenKind = "modn" // uniform random words in [0, n)
-)
-
 // Array is one annotated global array of a kernel.
 type Array struct {
 	// Name is the mini-C (and Go) identifier.
 	Name string
 	// Len is the length expression over the dataset size n.
 	Len Expr
-	// Gen is the input distribution (GenNone for work arrays).
-	Gen GenKind
 }
 
 // Const is one named //repro:const compile-time constant.
@@ -83,6 +73,10 @@ type Kernel struct {
 	Name string
 	// MinN is the smallest dataset size the kernel supports.
 	MinN int
+	// Inputs names the Go generator that fills the kernel's input arrays
+	// (//repro:kernel inputs=NAME). The front end only records the name;
+	// the kernel suite resolves it and rejects names it does not know.
+	Inputs string
 	// File is the scanned file name, for diagnostics and catalogs.
 	File string
 	// Arrays are the annotated global arrays, in declaration order.
@@ -215,11 +209,14 @@ func evalNode(node ast.Expr, n int64) (int64, error) {
 
 // Scan parses one annotated Go kernel file. Exactly one function must carry
 // a //repro:kernel annotation; every global array var must carry a
-// //repro:array annotation. The kernel is lowered once (at MinN) before
-// returning, so a file that cannot lower fails at scan time, not first use.
+// //repro:array annotation. The kernel is lowered and checked once (at MinN)
+// before returning, so a file that cannot lower fails at scan time, not at
+// first use.
 func Scan(filename string, src []byte) (*Kernel, error) {
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	// The lowerer keeps its own scopes, so the parser's object resolution
+	// would be wasted work.
+	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return nil, fmt.Errorf("gofront: %v", err)
 	}
@@ -251,7 +248,7 @@ func Scan(filename string, src []byte) (*Kernel, error) {
 	if k.entry == nil {
 		return nil, fmt.Errorf("gofront: %s: no //repro:kernel annotation", filename)
 	}
-	if _, err := k.lower(k.MinN); err != nil {
+	if _, err := k.checked(k.MinN); err != nil {
 		return nil, err
 	}
 	return k, nil
@@ -299,19 +296,9 @@ func (k *Kernel) scanVar(d *ast.GenDecl) error {
 						return k.errAt(vs.Pos(), "array %q: %v", name, err)
 					}
 					arr.Len = e
-				case "gen":
-					switch g := GenKind(val); g {
-					case GenU32, GenModN:
-						arr.Gen = g
-					default:
-						return k.errAt(vs.Pos(), "array %q: unknown gen %q (want u32 or modn)", name, val)
-					}
 				default:
 					return k.errAt(vs.Pos(), "array %q: unknown //repro:array field %q", name, key)
 				}
-			}
-			if arr.Len.node == nil {
-				return k.errAt(vs.Pos(), "array %q: //repro:array needs len=", name)
 			}
 			k.Arrays = append(k.Arrays, arr)
 		case *ast.Ident:
@@ -363,6 +350,8 @@ func (k *Kernel) scanFunc(d *ast.FuncDecl) error {
 				return k.errAt(d.Pos(), "bad minn %q", val)
 			}
 			k.MinN = mn
+		case "inputs":
+			k.Inputs = val
 		default:
 			return k.errAt(d.Pos(), "unknown //repro:kernel field %q", key)
 		}
@@ -438,22 +427,29 @@ func (k *Kernel) lower(n int) (*lowered, error) {
 	if l, ok := k.cache[n]; ok {
 		return l, nil
 	}
-	prog, err := k.lowerProgram(n)
+	prog, err := k.checked(n)
 	if err != nil {
 		return nil, err
 	}
-	src := minic.Format(prog)
-	if err := minic.Check(prog); err != nil {
-		return nil, fmt.Errorf("gofront: %s: lowered program does not check: %v", k.File, err)
-	}
-	l := &lowered{src: src, prog: prog}
+	l := &lowered{src: minic.Format(prog), prog: prog}
 	k.cache[n] = l
 	return l, nil
 }
 
+// checked lowers the kernel for a dataset size and type-checks the result.
+func (k *Kernel) checked(n int) (*minic.Program, error) {
+	prog, err := k.lowerProgram(n)
+	if err != nil {
+		return nil, err
+	}
+	if err := minic.Check(prog); err != nil {
+		return nil, fmt.Errorf("gofront: %s: lowered program does not check: %v", k.File, err)
+	}
+	return prog, nil
+}
+
 // Source returns the canonical mini-C (minic.Format) lowering of the kernel
-// for a dataset size. This text is what minic.Compile consumes — the
-// unchanged backend of the hand-written kernels.
+// for a dataset size. This text is what minic.Compile consumes.
 func (k *Kernel) Source(n int) (string, error) {
 	l, err := k.lower(n)
 	if err != nil {

@@ -29,18 +29,18 @@ func scan(t *testing.T, src string) *Kernel {
 	return k
 }
 
-// sumKernel is a minimal end-to-end kernel: one generated array, one const,
+// sumKernel is a minimal end-to-end kernel: one input array, one const,
 // helpers, signed and unsigned locals.
 const sumKernel = `package kernels
 
-//repro:array len=n gen=u32
+//repro:array len=n
 var a []uint64
 
 func add(x uint64, y uint64) uint64 {
 	return x + y
 }
 
-//repro:kernel id=7 name=test/sum minn=2
+//repro:kernel id=7 name=test/sum minn=2 inputs=keys32
 //repro:const Half = n / 2
 func sum() uint64 {
 	s := uint64(0)
@@ -56,10 +56,10 @@ func sum() uint64 {
 
 func TestScanMetadata(t *testing.T) {
 	k := scan(t, sumKernel)
-	if k.ID != 7 || k.Name != "test/sum" || k.MinN != 2 {
-		t.Errorf("metadata = %d %q %d", k.ID, k.Name, k.MinN)
+	if k.ID != 7 || k.Name != "test/sum" || k.MinN != 2 || k.Inputs != "keys32" {
+		t.Errorf("metadata = %d %q %d %q", k.ID, k.Name, k.MinN, k.Inputs)
 	}
-	if len(k.Arrays) != 1 || k.Arrays[0].Name != "a" || k.Arrays[0].Gen != GenU32 {
+	if len(k.Arrays) != 1 || k.Arrays[0].Name != "a" || k.Arrays[0].Len.String() != "n" {
 		t.Errorf("arrays = %+v", k.Arrays)
 	}
 	if len(k.Consts) != 1 || k.Consts[0].Name != "Half" {
@@ -106,7 +106,7 @@ func TestSourceIsCanonicalAndFolded(t *testing.T) {
 func TestAuthorLiteralsDoNotFold(t *testing.T) {
 	k := scan(t, `package kernels
 
-//repro:array len=n gen=u32
+//repro:array len=n
 var a []uint64
 
 //repro:kernel id=1 name=test/mix minn=2
@@ -147,7 +147,7 @@ func TestRefMatchesEmulatedProgram(t *testing.T) {
 	// compiled program must agree, because they are the same tree.
 	k := scan(t, `package kernels
 
-//repro:array len=n gen=u32
+//repro:array len=n
 var a []uint64
 
 //repro:kernel id=1 name=test/semantics minn=4
@@ -181,6 +181,56 @@ func semantics() uint64 {
 	res := emulate(t, prog, in)
 	if res != want {
 		t.Errorf("emulator %d, interpreter %d", res, want)
+	}
+}
+
+// TestIntegerOperandOfAnd pins the lowering maximalIndependentSet relies
+// on: the subset is not type-checked as Go, so an integer may be an operand
+// of &&. It must lower unchanged (no comparison against zero inserted) and
+// both the interpreter and the compiled program must read it with C
+// truthiness: any non-zero word, including one with only bit 63 set, is true.
+func TestIntegerOperandOfAnd(t *testing.T) {
+	k := scan(t, `package kernels
+
+//repro:array len=n
+var flag []uint64
+
+//repro:kernel id=1 name=test/truthy minn=2
+func truthy() uint64 {
+	s := uint64(0)
+	v := uint64(3)
+	for u := uint64(0); u < N; u++ {
+		if u < v && flag[u] {
+			s = s*31 + u + 1
+		}
+	}
+	return s
+}
+`)
+	src, err := k.Source(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(src, "if ((u < v) && flag[u]) {") {
+		t.Errorf("&& with an integer operand lowered differently:\n%s", src)
+	}
+	in := map[string][]uint64{"flag": {0, 1 << 63, 2, 7}}
+	// u=1 and u=2 pass (non-zero flag, u < 3); u=0 has a zero flag and
+	// u=3 fails u < v.
+	want := uint64((0*31+2)*31 + 3)
+	got, err := k.Ref(4, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Ref = %d, want %d", got, want)
+	}
+	prog, err := minic.Compile(src, minic.ModeCall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := emulate(t, prog, in); res != want {
+		t.Errorf("emulator = %d, want %d", res, want)
 	}
 }
 
@@ -245,8 +295,8 @@ func TestScanErrors(t *testing.T) {
 		{"no-kernel", "package kernels\n\nfunc f() uint64 {\n\treturn 0\n}\n", "no //repro:kernel"},
 		{"two-kernels", "package kernels\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\treturn 0\n}\n\n//repro:kernel id=2 name=c/d minn=2\nfunc g() uint64 {\n\treturn 0\n}\n", "second //repro:kernel"},
 		{"missing-id", "package kernels\n\n//repro:kernel name=a/b\nfunc f() uint64 {\n\treturn 0\n}\n", "needs id="},
-		{"array-no-len", "package kernels\n\n//repro:array gen=u32\nvar a []uint64\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\treturn 0\n}\n", "needs len="},
-		{"bad-gen", "package kernels\n\n//repro:array len=n gen=zipf\nvar a []uint64\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\treturn 0\n}\n", "unknown gen"},
+		{"array-no-len", "package kernels\n\n//repro:array\nvar a []uint64\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\treturn 0\n}\n", "with a len= expression"},
+		{"bad-gen", "package kernels\n\n//repro:array len=n gen=u32\nvar a []uint64\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\treturn 0\n}\n", `unknown //repro:array field "gen"`},
 		{"unannotated-array", "package kernels\n\nvar a []uint64\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\treturn 0\n}\n", "//repro:array annotation"},
 		{"bad-const", "package kernels\n\n//repro:kernel id=1 name=a/b minn=2\n//repro:const X = log2(3)\nfunc f() uint64 {\n\treturn X\n}\n", "not a power of two"},
 		{"entry-returns-void", "package kernels\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() {\n}\n", "must return uint64"},

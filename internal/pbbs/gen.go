@@ -1,12 +1,37 @@
 package pbbs
 
-// Shared deterministic input generators for the graph kernels. Graphs are
-// random multigraphs: m independently drawn (u, v) pairs over n vertices.
-// Self-loops and parallel edges are kept; every kernel's mini-C code and Go
-// reference handle them identically, so the cross-check stays exact.
+// Input generators. A kernel's //repro:kernel inputs=NAME annotation picks
+// one from generators; Kernel.Gen seeds the stream. Each generator returns
+// words for some of the kernel's //repro:array globals, with exactly the
+// lengths those annotations declare; arrays it leaves out start zeroed.
+var generators = map[string]func(n int, r *rng) Inputs{
+	"keys32":        func(n int, r *rng) Inputs { return Inputs{"a": draws(n, r, 1<<32)} },
+	"keysModN":      func(n int, r *rng) Inputs { return Inputs{"a": draws(n, r, uint64(n))} },
+	"graph":         genGraph,
+	"edges":         genEdges,
+	"weightedEdges": genWeightedEdges,
+	"points16":      func(n int, r *rng) Inputs { return genPoints(n, r, 1<<16) },
+	"points20":      func(n int, r *rng) Inputs { return genPoints(n, r, 1<<20) },
+	"dictionary":    genDictionary,
+}
+
+// draws returns n values drawn uniformly from [0, bound).
+func draws(n int, r *rng, bound uint64) []uint64 {
+	words := make([]uint64, n)
+	for i := range words {
+		words[i] = r.uintn(bound)
+	}
+	return words
+}
+
+// Graphs are random multigraphs: m independently drawn (u, v) pairs over n
+// vertices. Self-loops and parallel edges are kept; every kernel handles
+// them, so the cross-check stays exact.
 
 // graphDegree is the edge-to-vertex ratio of the generated graphs
-// (m = graphDegree·n), matching the sparse inputs PBBS uses.
+// (m = graphDegree·n), matching the sparse inputs PBBS uses. The kernels'
+// array annotations spell it out (len=3*n for edges, len=6*n for CSR
+// adjacency).
 const graphDegree = 3
 
 // randEdges draws m endpoint pairs over n vertices.
@@ -20,20 +45,21 @@ func randEdges(n, m int, r *rng) (eu, ev []uint64) {
 	return eu, ev
 }
 
-// csrFromEdges builds the undirected CSR adjacency of the edge list: off has
-// n+1 entries and adj has 2m entries (each edge contributes both directions;
-// a self-loop contributes its endpoint twice).
-func csrFromEdges(n int, eu, ev []uint64) (off, adj []uint64) {
+// genGraph returns the undirected CSR adjacency {off, adj} of an n-vertex
+// random graph: off has n+1 entries and adj has 2m entries (each edge
+// contributes both directions; a self-loop contributes its endpoint twice).
+func genGraph(n int, r *rng) Inputs {
+	eu, ev := randEdges(n, graphDegree*n, r)
 	deg := make([]uint64, n)
 	for i := range eu {
 		deg[eu[i]]++
 		deg[ev[i]]++
 	}
-	off = make([]uint64, n+1)
+	off := make([]uint64, n+1)
 	for v := 0; v < n; v++ {
 		off[v+1] = off[v] + deg[v]
 	}
-	adj = make([]uint64, 2*len(eu))
+	adj := make([]uint64, 2*len(eu))
 	cur := make([]uint64, n)
 	copy(cur, off[:n])
 	for i := range eu {
@@ -43,43 +69,45 @@ func csrFromEdges(n int, eu, ev []uint64) (off, adj []uint64) {
 		adj[cur[v]] = u
 		cur[v]++
 	}
-	return off, adj
-}
-
-// genCSRGraph returns CSR inputs {off, adj} for an n-vertex random graph.
-func genCSRGraph(n int, seed uint64) Inputs {
-	r := newRNG(seed)
-	eu, ev := randEdges(n, graphDegree*n, r)
-	off, adj := csrFromEdges(n, eu, ev)
 	return Inputs{"off": off, "adj": adj}
 }
 
-// mix is the checksum accumulator every kernel uses; it must match the
-// mini-C expression `s = s * 31 + v` exactly (64-bit wrapping).
-func mix(s, v uint64) uint64 { return s*31 + v }
-
-// hashTableSize returns the open-addressing table geometry the hashing
-// kernels share for n keys: a power-of-two size keeping the load factor
-// <= 1/4, and the matching Fibonacci-hash downshift.
-func hashTableSize(n int) (size, shift int) {
-	size = nextPow2(4 * n)
-	return size, 64 - log2(size)
+// genEdges returns the edge list {eu, ev} of an n-vertex random graph.
+func genEdges(n int, r *rng) Inputs {
+	eu, ev := randEdges(n, graphDegree*n, r)
+	return Inputs{"eu": eu, "ev": ev}
 }
 
-// nextPow2 returns the smallest power of two >= x (and >= 2).
-func nextPow2(x int) int {
-	p := 2
-	for p < x {
-		p *= 2
-	}
-	return p
+// genWeightedEdges is genEdges plus random 40-bit edge weights ew, drawn
+// after all the endpoints.
+func genWeightedEdges(n int, r *rng) Inputs {
+	eu, ev := randEdges(n, graphDegree*n, r)
+	return Inputs{"eu": eu, "ev": ev, "ew": draws(len(eu), r, 1<<40)}
 }
 
-// log2 returns the base-2 logarithm of the power of two p.
-func log2(p int) int {
-	k := 0
-	for 1<<k < p {
-		k++
+// genPoints returns n points {px, py} with coordinates in [0, bound), drawn
+// x then y per point.
+func genPoints(n int, r *rng, bound uint64) Inputs {
+	px := make([]uint64, n)
+	py := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		px[i] = r.uintn(bound)
+		py[i] = r.uintn(bound)
 	}
-	return k
+	return Inputs{"px": px, "py": py}
+}
+
+// genDictionary returns n 30-bit keys (with duplicates) and n queries:
+// even-indexed queries are sampled from the keys, odd ones are fresh draws.
+func genDictionary(n int, r *rng) Inputs {
+	keys := draws(n, r, 1<<30)
+	qrys := make([]uint64, n)
+	for i := range qrys {
+		if i%2 == 0 {
+			qrys[i] = keys[r.uintn(uint64(n))]
+		} else {
+			qrys[i] = r.uintn(1 << 30)
+		}
+	}
+	return Inputs{"keys": keys, "qrys": qrys}
 }

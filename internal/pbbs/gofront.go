@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"io/fs"
 	"path"
-	"sort"
 
 	"repro/internal/gofront"
 )
 
-// Annotated-Go kernels live in kernels/*.go: build-tagged out of the binary,
-// embedded here, and scanned by internal/gofront at package init. Dropping a
-// new annotated file into the directory is the whole registration — the
-// embed glob and the scan below pick it up with no registry edits.
+// The kernels live in kernels/*.go: build-tagged out of the binary, embedded
+// here, and scanned by internal/gofront at package init. Dropping a new
+// annotated file into the directory is the whole registration — the embed
+// glob and the scan below pick it up with no registry edits.
 //
 //go:embed kernels/*.go
 var kernelFS embed.FS
@@ -23,77 +22,32 @@ func init() {
 	if err != nil {
 		panic(fmt.Sprintf("pbbs: reading embedded kernels: %v", err))
 	}
-	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && path.Ext(e.Name()) == ".go" {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src, err := fs.ReadFile(kernelFS, path.Join("kernels", name))
+		src, err := fs.ReadFile(kernelFS, path.Join("kernels", e.Name()))
 		if err != nil {
-			panic(fmt.Sprintf("pbbs: reading embedded kernel %s: %v", name, err))
+			panic(fmt.Sprintf("pbbs: reading embedded kernel %s: %v", e.Name(), err))
 		}
-		gk, err := gofront.Scan(name, src)
+		gk, err := gofront.Scan(e.Name(), src)
 		if err != nil {
 			panic(fmt.Sprintf("pbbs: %v", err))
 		}
-		RegisterGo(gk)
-	}
-}
-
-// RegisterGo adds a gofront-scanned annotated-Go kernel to the suite: the
-// mini-C source is the gofront lowering, the reference checksum is the
-// gofront interpreter over the same AST, and the input arrays come from the
-// //repro:array annotations. Like Register, it panics on malformed or
-// duplicate registrations.
-func RegisterGo(gk *gofront.Kernel) {
-	Register(&Kernel{
-		ID:     gk.ID,
-		Name:   gk.Name,
-		MinN:   gk.MinN,
-		Lang:   LangGo,
-		Source: gk.Source,
-		Gen:    goGen(gk),
-		Ref: func(n int, in Inputs) (uint64, error) {
-			return gk.Ref(n, in)
-		},
-	})
-}
-
-// goGen derives a kernel's input generator from its //repro:array
-// annotations: one deterministic stream per kernel (seeded exactly like the
-// hand-written generators, so migrated kernels keep their inputs
-// bit-identical), drawn into the gen-annotated arrays in declaration order.
-func goGen(gk *gofront.Kernel) func(n int, seed uint64) Inputs {
-	return func(n int, seed uint64) Inputs {
-		r := newRNG(seed + uint64(gk.ID)*0x9e3779b9)
-		in := make(Inputs)
-		for _, a := range gk.Arrays {
-			if a.Gen == gofront.GenNone {
-				continue
-			}
-			ln, err := a.Len.Eval(n)
-			if err != nil || ln < 1 {
-				// Unreachable in practice: Build evaluates the same
-				// expressions first and fails there; Gen keeps the
-				// infallible signature shared with the legacy kernels.
-				panic(fmt.Sprintf("pbbs: %s: array %s length at n=%d: %v", gk.Name, a.Name, n, err))
-			}
-			words := make([]uint64, ln)
-			switch a.Gen {
-			case gofront.GenU32:
-				for i := range words {
-					words[i] = r.uintn(1 << 32)
-				}
-			case gofront.GenModN:
-				for i := range words {
-					words[i] = r.uintn(uint64(n))
-				}
-			}
-			in[a.Name] = words
+		k, err := newKernel(gk)
+		if err != nil {
+			panic(err)
 		}
-		return in
+		if prev, dup := registry[k.ID]; dup {
+			panic(fmt.Sprintf("pbbs: duplicate benchmark ID %d (%s and %s)", k.ID, prev.Name, k.Name))
+		}
+		registry[k.ID] = k
 	}
+}
+
+// newKernel pairs a scanned kernel with the input generator its inputs=
+// annotation names. An unknown or missing name is an error.
+func newKernel(gk *gofront.Kernel) (*Kernel, error) {
+	gen, ok := generators[gk.Inputs]
+	if !ok {
+		return nil, fmt.Errorf("pbbs: %s: unknown inputs=%q (the generators are listed in gen.go)", gk.File, gk.Inputs)
+	}
+	return &Kernel{Kernel: gk, gen: gen}, nil
 }

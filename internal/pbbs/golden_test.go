@@ -24,10 +24,9 @@ func goldenName(k *Kernel, n int) string {
 	return filepath.Join("testdata", "golden", fmt.Sprintf("%02d-%s-n%d.c", k.ID, short, n))
 }
 
-// canonical returns the canonical (minic.Format) rendering of the kernel's
-// source at n. Hand-written templates are free-form mini-C, so they are
-// normalised through Parse∘Format; lowered kernels emit canonical text
-// directly, which the fixpoint check below pins.
+// canonical returns the kernel's source at n after checking that it is
+// canonical: the lowering must emit exactly what minic.Format renders from
+// its parse (the Format∘Parse fixpoint).
 func canonical(t *testing.T, k *Kernel, n int) string {
 	t.Helper()
 	src, err := k.Source(n)
@@ -38,19 +37,19 @@ func canonical(t *testing.T, k *Kernel, n int) string {
 	if err != nil {
 		t.Fatalf("%s: parsing Source(%d): %v", k.Name, n, err)
 	}
-	canon := minic.Format(prog)
-	if k.Lang == LangGo && canon != src {
+	if minic.Format(prog) != src {
 		t.Errorf("%s: lowered source at n=%d is not Format-canonical", k.Name, n)
 	}
-	return canon
+	return src
 }
 
 // TestGoldenSources pins every registered kernel's generated mini-C, in
 // canonical form, at n=MinN and n=64. The files were generated from the
-// hand-written templates before the quickSort/dedup/radixSort migration to
-// annotated Go, so a diff here means the compiled program changed — which
-// would silently re-key the sweep cache and detach BENCH_machine.json
-// baselines. Run with -update to rewrite them deliberately.
+// hand-written mini-C templates the kernels had before they became annotated
+// Go, and every kernel lowers to them byte for byte, so a diff here means the
+// compiled program changed — which would silently re-key the sweep cache and
+// detach BENCH_machine.json baselines. Run with -update to rewrite them
+// deliberately.
 func TestGoldenSources(t *testing.T) {
 	for _, k := range Kernels() {
 		for _, n := range []int{k.MinN, 64} {

@@ -9,13 +9,13 @@
 // not compiled into the binary.
 package kernels
 
-//repro:array len=n gen=modn
+//repro:array len=n
 var a []uint64
 
 //repro:array len=pow2(4*n)
 var tab []uint64
 
-//repro:kernel id=10 name=removeDuplicates/deterministicHash minn=2
+//repro:kernel id=10 name=removeDuplicates/deterministicHash minn=2 inputs=keysModN
 //repro:const Tab = pow2(4*n)
 //repro:const Shift = 64 - log2(pow2(4*n))
 func dedup() uint64 {

@@ -4,18 +4,18 @@
 //
 // 256-bucket histogram of the top byte of random 32-bit keys, checksummed
 // with the suite's rolling mix. The eleventh kernel, and the first defined
-// only as annotated Go: no hand-written mini-C, no generator wiring, no
-// registry edits — internal/gofront derives the machine program, the input
-// arrays and the reference checksum from this one file.
+// only as annotated Go: no hand-written mini-C and no registry edits —
+// internal/gofront derives the machine program and the reference checksum
+// from this one file, and inputs=keys32 names its input generator.
 package kernels
 
-//repro:array len=n gen=u32
+//repro:array len=n
 var a []uint64
 
 //repro:array len=256
 var h []uint64
 
-//repro:kernel id=11 name=histogram/counting minn=2
+//repro:kernel id=11 name=histogram/counting minn=2 inputs=keys32
 func histogram() uint64 {
 	n := uint64(N)
 	for b := 0; b < 256; b++ {

@@ -8,7 +8,7 @@
 // interpreted in pure Go for the reference checksum.
 package kernels
 
-//repro:array len=n gen=u32
+//repro:array len=n
 var a []uint64
 
 func qs(lo int64, hi int64) {
@@ -32,7 +32,7 @@ func qs(lo int64, hi int64) {
 	qs(i+1, hi)
 }
 
-//repro:kernel id=2 name=comparisonSort/quickSort minn=2
+//repro:kernel id=2 name=comparisonSort/quickSort minn=2 inputs=keys32
 func quickSort() uint64 {
 	qs(0, N-1)
 	s := uint64(0)

@@ -7,7 +7,7 @@
 // internal/gofront; not compiled into the binary.
 package kernels
 
-//repro:array len=n gen=u32
+//repro:array len=n
 var a []uint64
 
 //repro:array len=n
@@ -16,7 +16,7 @@ var b []uint64
 //repro:array len=256
 var cnt []uint64
 
-//repro:kernel id=5 name=integerSort/blockRadixSort minn=2
+//repro:kernel id=5 name=integerSort/blockRadixSort minn=2 inputs=keys32
 func radixSort() uint64 {
 	n := uint64(N)
 	for pass := 0; pass < 4; pass++ {

@@ -1,32 +1,36 @@
 // Package pbbs implements the reproduction's stand-in for the Problem Based
 // Benchmark Suite used by the paper's Fig. 7 (Table 1): the same ten
-// algorithms, written in mini-C, compiled to the reproduction ISA, run on
-// the functional emulator with trace capture, and analysed with the
+// algorithms, plus a histogram extra, compiled to the reproduction ISA, run
+// on the functional emulator with trace capture, and analysed with the
 // internal/ilp dependence models.
 //
 // The paper traces the original C++ PBBS programs with gcc-generated x86;
-// that substrate is not available here, so each kernel is re-implemented in
-// mini-C over the same algorithm (see DESIGN.md's substitution table). The
-// quantity Fig. 7 plots — trace-dataflow ILP under the sequential and
-// parallel dependence models — depends only on the dynamic dependence
-// structure of the algorithm, which these kernels preserve.
+// that substrate is not available here, so each kernel is re-implemented over
+// the same algorithm (see DESIGN.md's substitution table). The quantity
+// Fig. 7 plots — trace-dataflow ILP under the sequential and parallel
+// dependence models — depends only on the dynamic dependence structure of
+// the algorithm, which these kernels preserve.
 //
-// Every kernel's mini-C main returns a checksum that the harness validates
-// against a pure-Go reference implementation, so the compiler, emulator and
-// workload generators are cross-checked on every run.
+// Every kernel has one definition: an annotated Go file in kernels/, lowered
+// to mini-C by internal/gofront. Its main returns a checksum that the harness
+// validates against the reference gofront interprets from the same lowered
+// AST, so the compiler, emulator and machine are cross-checked on every run.
+// The file's inputs= annotation names the input generator in gen.go.
 //
-// Kernels self-register at package init (Register), so adding a workload is
-// a one-file drop-in: define Source/Gen/Ref, call Register, and the batch
-// harness, the CLI and the cross-validation tests pick it up.
+// Kernels register at package init, so adding a workload is a one-file
+// drop-in: the batch harness, the CLI and the cross-validation tests pick up
+// every annotated file in kernels/.
 package pbbs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/backend"
+	"repro/internal/gofront"
 	"repro/internal/ilp"
 	"repro/internal/isa"
 	"repro/internal/minic"
@@ -63,77 +67,17 @@ func (r *rng) uintn(n uint64) uint64 {
 // run.
 type Inputs = backend.Inputs
 
-// Source languages a kernel can be defined in.
-const (
-	// LangMiniC marks a hand-written mini-C kernel (a Go template
-	// producing mini-C source directly).
-	LangMiniC = "minic"
-	// LangGo marks a kernel defined as annotated Go and lowered to mini-C
-	// by internal/gofront.
-	LangGo = "go"
-)
-
-// Kernel is one benchmark of Table 1.
+// Kernel is one benchmark of Table 1: the scanned annotated-Go kernel, whose
+// promoted Source lowers it to mini-C for a dataset size and whose promoted
+// Ref interprets that lowering for the reference checksum, plus the input
+// generator its inputs= annotation names.
 type Kernel struct {
-	// ID is the paper's benchmark number (1..10; later additions count on).
-	ID int
-	// Name is the paper's "suite/implementation" label.
-	Name string
-	// MinN is the smallest dataset size the kernel supports.
-	MinN int
-	// Lang is the source language the kernel is defined in (LangMiniC for
-	// hand-written mini-C, LangGo for gofront-lowered annotated Go).
-	Lang string
-	// Source generates the mini-C program for a dataset of n elements.
-	// Hand-written kernels cannot fail; lowered kernels can (an annotation
-	// expression may not evaluate at this n).
-	Source func(n int) (string, error)
-	// Gen generates the input arrays for a dataset of n elements.
-	Gen func(n int, seed uint64) Inputs
-	// Ref computes the expected checksum from the inputs.
-	Ref func(n int, in Inputs) (uint64, error)
+	*gofront.Kernel
+	gen func(n int, r *rng) Inputs
 }
 
-// staticSource adapts an infallible mini-C source template to the Kernel
-// Source signature.
-func staticSource(f func(n int) string) func(int) (string, error) {
-	return func(n int) (string, error) { return f(n), nil }
-}
-
-// staticRef adapts an infallible reference checksum to the Kernel Ref
-// signature.
-func staticRef(f func(n int, in Inputs) uint64) func(int, Inputs) (uint64, error) {
-	return func(n int, in Inputs) (uint64, error) { return f(n, in), nil }
-}
-
-// registry holds the self-registered kernels, keyed by benchmark number.
+// registry holds the registered kernels, keyed by benchmark number.
 var registry = make(map[int]*Kernel)
-
-// Register adds a kernel to the suite. It is called from package init
-// functions (one per kernel file) and panics on malformed or duplicate
-// registrations, since either is a programming error.
-func Register(k *Kernel) {
-	switch {
-	case k == nil:
-		panic("pbbs: Register(nil)")
-	case k.ID <= 0:
-		panic(fmt.Sprintf("pbbs: kernel %q has non-positive ID %d", k.Name, k.ID))
-	case k.Name == "":
-		panic(fmt.Sprintf("pbbs: kernel %d has no name", k.ID))
-	case k.Source == nil || k.Gen == nil || k.Ref == nil:
-		panic(fmt.Sprintf("pbbs: kernel %d (%s) is missing Source/Gen/Ref", k.ID, k.Name))
-	}
-	if prev, dup := registry[k.ID]; dup {
-		panic(fmt.Sprintf("pbbs: duplicate benchmark ID %d (%s and %s)", k.ID, prev.Name, k.Name))
-	}
-	if k.MinN <= 0 {
-		k.MinN = 4
-	}
-	if k.Lang == "" {
-		k.Lang = LangMiniC
-	}
-	registry[k.ID] = k
-}
 
 // Kernels returns the registered benchmarks in the paper's (ID) order.
 func Kernels() []*Kernel {
@@ -155,9 +99,6 @@ type Info struct {
 	// MinN is the smallest dataset size the kernel supports; requested
 	// sizes below it are clamped up to it.
 	MinN int `json:"minN"`
-	// Lang is the language the kernel is defined in ("minic" for
-	// hand-written mini-C, "go" for gofront-lowered annotated Go).
-	Lang string `json:"lang"`
 }
 
 // Catalog returns the registered benchmarks' metadata in the paper's (ID)
@@ -166,7 +107,7 @@ func Catalog() []Info {
 	ks := Kernels()
 	infos := make([]Info, len(ks))
 	for i, k := range ks {
-		infos[i] = Info{ID: k.ID, Name: k.Name, MinN: k.MinN, Lang: k.Lang}
+		infos[i] = Info{ID: k.ID, Name: k.Name, MinN: k.MinN}
 	}
 	return infos
 }
@@ -181,9 +122,13 @@ func ByID(id int) (*Kernel, error) {
 
 // Find resolves a kernel selector: a benchmark number ("2") or a
 // case-insensitive substring of the kernel name ("quicksort"). A selector
-// matching several kernels is an error listing the candidates.
+// matching several kernels is an error listing the candidates; an empty one
+// is an error too, since it would match them all.
 func Find(sel string) (*Kernel, error) {
 	sel = strings.TrimSpace(sel)
+	if sel == "" {
+		return nil, errors.New("pbbs: empty kernel selector")
+	}
 	if id, err := strconv.Atoi(sel); err == nil {
 		return ByID(id)
 	}
@@ -237,6 +182,13 @@ func (k *Kernel) ClampN(n int) int {
 		return k.MinN
 	}
 	return n
+}
+
+// Gen generates the input arrays for a dataset of n elements. Each kernel
+// draws from its own stream, seeded from the workload seed and the
+// benchmark number, so kernels sharing a generator get different inputs.
+func (k *Kernel) Gen(n int, seed uint64) Inputs {
+	return k.gen(n, newRNG(seed+uint64(k.ID)*0x9e3779b9))
 }
 
 // Build compiles the kernel for a dataset size in the given calling

@@ -1,10 +1,12 @@
 package pbbs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/gofront"
 	"repro/internal/minic"
 )
 
@@ -19,17 +21,6 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 		if !strings.Contains(k.Name, "/") {
 			t.Errorf("kernel %d name %q is not suite/implementation", k.ID, k.Name)
-		}
-		switch k.Lang {
-		case LangMiniC, LangGo:
-		default:
-			t.Errorf("kernel %d has unknown Lang %q", k.ID, k.Lang)
-		}
-	}
-	// The annotated-Go path covers the migrated kernels and histogram.
-	for _, id := range []int{2, 5, 10, 11} {
-		if k, err := ByID(id); err != nil || k.Lang != LangGo {
-			t.Errorf("ByID(%d): lang %q, err %v; want an annotated-Go kernel", id, k.Lang, err)
 		}
 	}
 	if _, err := ByID(3); err != nil {
@@ -169,6 +160,46 @@ func TestDeterministicInputs(t *testing.T) {
 	}
 }
 
+// TestGenMatchesArrayAnnotations: every array an input generator fills is a
+// declared //repro:array of its kernel, at exactly the annotated length, so
+// a generator and its kernel file cannot disagree on the input layout.
+func TestGenMatchesArrayAnnotations(t *testing.T) {
+	for _, k := range Kernels() {
+		for _, n := range []int{k.MinN, 64} {
+			for sym, words := range k.Gen(n, 1) {
+				i := slices.IndexFunc(k.Arrays, func(a gofront.Array) bool { return a.Name == sym })
+				if i < 0 {
+					t.Errorf("%s (inputs=%s) at n=%d: generated %q is not a //repro:array", k.Name, k.Inputs, n, sym)
+					continue
+				}
+				want, err := k.Arrays[i].Len.Eval(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int64(len(words)) != want {
+					t.Errorf("%s (inputs=%s) at n=%d: %s has %d words, annotation len=%s is %d",
+						k.Name, k.Inputs, n, sym, len(words), k.Arrays[i].Len, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUnknownInputsRejected: a kernel whose inputs= names no generator, or
+// that names none, fails registration.
+func TestUnknownInputsRejected(t *testing.T) {
+	for _, ann := range []string{" inputs=nosuch", ""} {
+		src := "package kernels\n\n//repro:kernel id=99 name=test/bad minn=2" + ann + "\nfunc f() uint64 {\n\treturn 0\n}\n"
+		gk, err := gofront.Scan("bad.go", []byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newKernel(gk); err == nil || !strings.Contains(err.Error(), "bad.go: unknown inputs=") {
+			t.Errorf("newKernel(%q) err = %v, want an unknown-inputs error", ann, err)
+		}
+	}
+}
+
 // TestSeedChangesChecksum: different seeds must change the workload (and so
 // the checksum) — guards against generators ignoring the seed.
 func TestSeedChangesChecksum(t *testing.T) {
@@ -227,6 +258,16 @@ func TestFindSelectors(t *testing.T) {
 	}
 	if _, err := Find("nosuchkernel"); err == nil {
 		t.Error("Find accepted an unknown selector")
+	}
+	// An empty selector would match every name; it must be rejected as
+	// empty, not reported as ambiguous.
+	for _, sels := range []string{"quicksort,", "quicksort,,bfs", " , "} {
+		if _, err := FindAll(sels); err == nil || !strings.Contains(err.Error(), "empty kernel selector") {
+			t.Errorf("FindAll(%q) err = %v, want an empty-selector error", sels, err)
+		}
+	}
+	if _, err := Find(""); err == nil || strings.Contains(err.Error(), "ambiguous") {
+		t.Errorf("Find(\"\") err = %v, want an empty-selector error", err)
 	}
 	all, err := FindAll("all")
 	if err != nil || len(all) != len(Kernels()) {
