@@ -55,7 +55,6 @@ func cmdServe(args []string) error {
 	jobs := fs.Int("jobs", 2, "jobs executing concurrently; further submissions queue")
 	history := fs.Int("history", 256, "finished jobs kept before the oldest are evicted")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown budget for in-flight requests and jobs")
-	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
 	pool := fs.Bool("machine-pool", true, "reuse warmed machines across submissions that differ only in inputs")
 	lease := fs.Duration("lease", 5*time.Second, "fabric lease TTL: a worker batch unreported past this re-queues")
 	batch := fs.Int("batch", 8, "fabric points per worker lease")
@@ -72,7 +71,7 @@ func cmdServe(args []string) error {
 	// The engine is the server's simulation configuration: every submitted
 	// job measures through it, so the scheduler choice and the warm-machine
 	// pool are service-wide settings.
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
+	eng := &sweep.Engine{Workers: *workers}
 	if *pool {
 		eng.Pool = machine.NewPool()
 	}

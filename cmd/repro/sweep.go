@@ -43,7 +43,6 @@ func cmdSweep(args []string) error {
 	cacheDir := fs.String("cache", ".sweep-cache", "result cache directory (empty disables caching)")
 	baseline := fs.String("baseline", "", "baseline sweep JSONL to diff against")
 	against := fs.String("against", "", "diff -baseline against this sweep file instead of running")
-	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
 	pool := fs.Bool("machine-pool", true, "reuse warmed machines across points that differ only in inputs")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -91,7 +90,7 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
+	eng := &sweep.Engine{Workers: *workers}
 	if *pool {
 		eng.Pool = machine.NewPool()
 	}

@@ -28,7 +28,6 @@ func cmdWorker(args []string) error {
 	cacheDir := fs.String("cache", ".sweep-cache", "result cache directory (empty disables caching)")
 	name := fs.String("name", "", "worker label in coordinator logs (default host:pid)")
 	workers := fs.Int("workers", 0, "concurrent measurements per leased batch (0 = GOMAXPROCS)")
-	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
 	pool := fs.Bool("machine-pool", true, "reuse warmed machines across points that differ only in inputs")
 	poll := fs.Duration("poll", 0, "idle poll interval (0 = coordinator-suggested)")
 	if err := parseFlags(fs, args); err != nil {
@@ -39,7 +38,7 @@ func cmdWorker(args []string) error {
 		return usageErrf("bad -coordinator URL %q (want scheme://host:port)", *coord)
 	}
 
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
+	eng := &sweep.Engine{Workers: *workers}
 	if *pool {
 		eng.Pool = machine.NewPool()
 	}

@@ -267,121 +267,81 @@ func splitOperands(s string) []string {
 	return out
 }
 
-var zeroOperand = map[string]isa.Op{
-	"nop": isa.NOP, "cqto": isa.CQTO, "ret": isa.RET,
-	"endfork": isa.ENDFORK, "hlt": isa.HLT,
+// mnemonic maps an assembly mnemonic to its opcode, and to its condition
+// for the jcc and setcc families (the table's "j" and "set" prefixes).
+func mnemonic(mn string) (isa.Op, isa.Cond, bool) {
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		name := op.String()
+		if op == isa.Jcc || op == isa.SETcc {
+			if cond, found := strings.CutPrefix(mn, name); found {
+				if cc, ok := isa.ParseCond(cond); ok {
+					return op, cc, true
+				}
+			}
+		} else if mn == name {
+			return op, 0, true
+		}
+	}
+	return 0, 0, false
 }
 
-var twoOperand = map[string]isa.Op{
-	"movq": isa.MOV, "leaq": isa.LEA,
-	"addq": isa.ADD, "subq": isa.SUB, "andq": isa.AND, "orq": isa.OR,
-	"xorq": isa.XOR, "imulq": isa.IMUL,
-	"shlq": isa.SHL, "shrq": isa.SHR, "sarq": isa.SAR,
-	"cmpq": isa.CMP, "testq": isa.TEST,
-}
-
-var oneOperand = map[string]isa.Op{
-	"negq": isa.NEG, "notq": isa.NOT, "incq": isa.INC, "decq": isa.DEC,
-	"divq": isa.DIV, "idivq": isa.IDIV,
-	"pushq": isa.PUSH, "popq": isa.POP,
-}
-
-var branchOps = map[string]isa.Op{
-	"jmp": isa.JMP, "call": isa.CALL, "fork": isa.FORK,
-}
-
+// instruction parses one instruction by its opcode's operand shape and
+// rejects the forms the machine cannot model.
 func (a *assembler) instruction(n int, s string) error {
 	mn := s
 	rest := ""
 	if i := strings.IndexAny(s, " \t"); i >= 0 {
 		mn, rest = s[:i], strings.TrimSpace(s[i+1:])
 	}
-	in := isa.Instruction{}
-	emit := func() {
-		a.prog.Text = append(a.prog.Text, in)
+	op, cc, ok := mnemonic(mn)
+	if !ok {
+		return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
 	}
-
-	if op, ok := zeroOperand[mn]; ok {
+	in := isa.Instruction{Op: op, Cond: cc}
+	var fixups []fixup
+	operand := func(text string, where int) (isa.Operand, error) {
+		o, sym, err := a.operand(text)
+		if err != nil {
+			return o, &Error{n, err.Error()}
+		}
+		if sym != "" {
+			fixups = append(fixups, fixup{len(a.prog.Text), sym, where, n})
+		}
+		return o, nil
+	}
+	ops := splitOperands(rest)
+	switch op.Info().Shape {
+	case isa.ShapeNone:
 		if rest != "" {
 			return &Error{n, fmt.Sprintf("%s takes no operands", mn)}
 		}
-		in.Op = op
-		emit()
-		return nil
-	}
-	if op, ok := branchOps[mn]; ok {
-		in.Op = op
+	case isa.ShapeTarget:
 		if !isIdent(rest) {
 			return &Error{n, fmt.Sprintf("%s needs a label target, got %q", mn, rest)}
 		}
 		in.Label = rest
-		a.fixups = append(a.fixups, fixup{len(a.prog.Text), rest, 0, n})
-		emit()
-		return nil
-	}
-	if strings.HasPrefix(mn, "j") && mn != "jmp" {
-		cc, ok := isa.ParseCond(mn[1:])
-		if !ok {
-			return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
-		}
-		in.Op = isa.Jcc
-		in.Cond = cc
-		if !isIdent(rest) {
-			return &Error{n, fmt.Sprintf("%s needs a label target, got %q", mn, rest)}
-		}
-		in.Label = rest
-		a.fixups = append(a.fixups, fixup{len(a.prog.Text), rest, 0, n})
-		emit()
-		return nil
-	}
-	if strings.HasPrefix(mn, "set") {
-		cc, ok := isa.ParseCond(mn[3:])
-		if !ok {
-			return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
-		}
-		in.Op = isa.SETcc
-		in.Cond = cc
-		ops := splitOperands(rest)
+		fixups = append(fixups, fixup{len(a.prog.Text), rest, 0, n})
+	case isa.ShapeSrc, isa.ShapeDst:
 		if len(ops) != 1 {
 			return &Error{n, mn + " needs one operand"}
 		}
-		o, sym, err := a.operand(ops[0])
+		if op.Info().Shape == isa.ShapeSrc {
+			o, err := operand(ops[0], 1)
+			if err != nil {
+				return err
+			}
+			in.Src = o
+			break
+		}
+		o, err := operand(ops[0], 2)
 		if err != nil {
-			return &Error{n, err.Error()}
+			return err
+		}
+		if o.Kind == isa.KindImm {
+			return &Error{n, mn + ": operand cannot be an immediate"}
 		}
 		in.Dst = o
-		if sym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), sym, 2, n})
-		}
-		emit()
-		return nil
-	}
-	if op, ok := oneOperand[mn]; ok {
-		in.Op = op
-		ops := splitOperands(rest)
-		if len(ops) != 1 {
-			return &Error{n, mn + " needs one operand"}
-		}
-		o, sym, err := a.operand(ops[0])
-		if err != nil {
-			return &Error{n, err.Error()}
-		}
-		where := 2
-		if op == isa.PUSH {
-			in.Src = o
-			where = 1
-		} else {
-			in.Dst = o
-		}
-		if sym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), sym, where, n})
-		}
-		emit()
-		return nil
-	}
-	if op, ok := twoOperand[mn]; ok {
-		in.Op = op
-		ops := splitOperands(rest)
+	case isa.ShapeSrcDst:
 		if len(ops) == 1 && (op == isa.SHL || op == isa.SHR || op == isa.SAR) {
 			// Single-operand shift-by-one form, as in the paper's
 			// "shrq %rsi" (Fig. 2 line 11).
@@ -390,13 +350,13 @@ func (a *assembler) instruction(n int, s string) error {
 		if len(ops) != 2 {
 			return &Error{n, mn + " needs two operands"}
 		}
-		src, ssym, err := a.operand(ops[0])
+		src, err := operand(ops[0], 1)
 		if err != nil {
-			return &Error{n, err.Error()}
+			return err
 		}
-		dst, dsym, err := a.operand(ops[1])
+		dst, err := operand(ops[1], 2)
 		if err != nil {
-			return &Error{n, err.Error()}
+			return err
 		}
 		if src.Kind == isa.KindMem && dst.Kind == isa.KindMem {
 			return &Error{n, mn + ": both operands cannot be memory"}
@@ -404,17 +364,20 @@ func (a *assembler) instruction(n int, s string) error {
 		if dst.Kind == isa.KindImm {
 			return &Error{n, mn + ": destination cannot be an immediate"}
 		}
+		if op == isa.LEA && (src.Kind != isa.KindMem || dst.Kind != isa.KindReg) {
+			return &Error{n, mn + " needs a memory source and a register destination"}
+		}
 		in.Src, in.Dst = src, dst
-		if ssym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), ssym, 1, n})
-		}
-		if dsym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), dsym, 2, n})
-		}
-		emit()
-		return nil
 	}
-	return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
+	// The machine's memory stage keeps one data address per instruction.
+	if r, ok := in.MemRead(); ok {
+		if w, ok := in.MemWrite(); ok && r != w {
+			return &Error{n, mn + ": touches two data addresses"}
+		}
+	}
+	a.fixups = append(a.fixups, fixups...)
+	a.prog.Text = append(a.prog.Text, in)
+	return nil
 }
 
 // operand parses one operand. If it references a data symbol whose address is

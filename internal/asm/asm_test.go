@@ -218,6 +218,16 @@ func TestAssembleErrors(t *testing.T) {
 		{".bogus", "unknown directive"},
 		{"main: movq 5(%rax,%rbx,3), %rcx", "bad scale"},
 		{".data\nx: .quad 1\n.text\nmain: hlt\n.data\nx: .quad 2", "duplicate data symbol"},
+		{"main: pushq 8(%rdi)", "touches two data addresses"},
+		{"main: popq 8(%rdi)", "touches two data addresses"},
+		{"main: incq $3", "cannot be an immediate"},
+		{"main: popq $3", "cannot be an immediate"},
+		{"main: sete $3", "cannot be an immediate"},
+		{"main: divq $3", "cannot be an immediate"},
+		{"main: leaq %rax, 8(%rdi)", "needs a memory source and a register destination"},
+		{"main: leaq $3, %rax", "needs a memory source and a register destination"},
+		{"main: jfoo x", "unknown mnemonic"},
+		{"main: setfoo %rax", "unknown mnemonic"},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)

@@ -14,9 +14,24 @@
 // Code addresses are instruction indices (one instruction per code address);
 // data addresses are byte addresses in a separate data/stack space. All data
 // operations are 64-bit ("q" suffix).
+//
+// Every opcode has one row in the operand table (OpInfo): its mnemonic,
+// operand shape, which operands it reads and writes, whether it writes
+// Flags, its implicit registers and stack access, and its base pipeline
+// class. The register and memory queries on Instruction (RegReads,
+// RegWrites, AddrRegs, MemRead, MemWrite, WritesFlags, Classify) are all
+// derived from that row, so the assembler, the tracer, the ILP analyses and
+// the machine cannot disagree about an instruction's operands. An
+// instruction touches at most one data address — a load and a store of the
+// same word for read-modify-write forms — because the machine's memory
+// stage keeps one address per instruction; the assembler rejects forms that
+// would touch two (push and pop with a memory operand).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Reg identifies an architectural register. The numbering follows the SysV
 // x86-64 convention so that disassembly matches the paper's listings.
@@ -147,22 +162,10 @@ const (
 	NumOps
 )
 
-var opNames = [NumOps]string{
-	"nop", "movq", "leaq",
-	"addq", "subq", "andq", "orq", "xorq", "imulq", "shlq", "shrq", "sarq",
-	"negq", "notq", "incq", "decq",
-	"divq", "idivq", "cqto",
-	"cmpq", "testq", "set",
-	"pushq", "popq",
-	"jmp", "j", "call", "ret",
-	"fork", "endfork",
-	"hlt",
-}
-
 // String returns the gas mnemonic (without condition suffix for Jcc/SETcc).
 func (o Op) String() string {
 	if o < NumOps {
-		return opNames[o]
+		return opTable[o].Name
 	}
 	return fmt.Sprintf("op?%d", uint8(o))
 }
@@ -349,28 +352,27 @@ type Instruction struct {
 
 // String disassembles the instruction in gas syntax.
 func (in Instruction) String() string {
-	switch in.Op {
-	case NOP, CQTO, RET, ENDFORK, HLT:
+	switch in.Op.Info().Shape {
+	case ShapeNone:
 		return in.Op.String()
-	case JMP, CALL, FORK:
-		if in.Label != "" {
-			return fmt.Sprintf("%s %s", in.Op, in.Label)
+	case ShapeTarget:
+		mn := in.Op.String()
+		if in.Op == Jcc {
+			mn += in.Cond.String()
 		}
-		return fmt.Sprintf("%s %d", in.Op, in.Target)
-	case Jcc:
 		if in.Label != "" {
-			return fmt.Sprintf("j%s %s", in.Cond, in.Label)
+			return fmt.Sprintf("%s %s", mn, in.Label)
 		}
-		return fmt.Sprintf("j%s %d", in.Cond, in.Target)
-	case SETcc:
-		return fmt.Sprintf("set%s %s", in.Cond, in.Dst)
-	case NEG, NOT, INC, DEC, DIV, IDIV, POP:
+		return fmt.Sprintf("%s %d", mn, in.Target)
+	case ShapeDst:
+		if in.Op == SETcc {
+			return fmt.Sprintf("set%s %s", in.Cond, in.Dst)
+		}
 		return fmt.Sprintf("%s %s", in.Op, in.Dst)
-	case PUSH:
+	case ShapeSrc:
 		return fmt.Sprintf("%s %s", in.Op, in.Src)
-	default:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Src, in.Dst)
 	}
+	return fmt.Sprintf("%s %s, %s", in.Op, in.Src, in.Dst)
 }
 
 // Class groups opcodes by their pipeline treatment in the paper's core.
@@ -387,172 +389,176 @@ const (
 	ClassControl              // jmp/jcc/call/ret/fork/endfork/hlt
 )
 
-// Classify returns the pipeline class of the instruction. MOV/ALU forms with
-// a memory source are loads; forms with a memory destination are stores.
-// PUSH/POP are store/load plus an rsp update.
-func (in *Instruction) Classify() Class {
-	switch in.Op {
-	case JMP, Jcc, CALL, RET, FORK, ENDFORK, HLT:
-		return ClassControl
-	case IMUL, DIV, IDIV:
-		if in.Src.Kind == KindMem {
-			return ClassLoad
-		}
-		return ClassComplex
-	case PUSH:
-		return ClassStore
-	case POP:
-		return ClassLoad
-	case LEA:
-		return ClassSimple
-	}
-	if in.Src.Kind == KindMem {
-		return ClassLoad
-	}
-	if in.Dst.Kind == KindMem {
-		return ClassStore
-	}
-	return ClassSimple
+// Shape says which operand slots an opcode's assembly form fills.
+type Shape uint8
+
+// Operand shapes.
+const (
+	ShapeNone   Shape = iota // no operand: nop, cqto, ret, endfork, hlt
+	ShapeSrcDst              // "op src, dst"
+	ShapeSrc                 // "op src": push
+	ShapeDst                 // "op dst": neg/not/inc/dec, the divides, pop, setcc
+	ShapeTarget              // "op label": jmp, jcc, call, fork
+)
+
+// Roles says what an opcode does with the operands its shape names.
+type Roles uint8
+
+// Operand roles. A memory operand whose value is read is a load, a memory
+// operand that is written is a store; the registers forming its address
+// are read either way (lea reads nothing but its source's address).
+const (
+	SrcRead      Roles = 1 << iota // the source's value is an input
+	DstRead                        // the destination's old value is an input
+	DstWritten                     // the result is written to the destination
+	FlagsWritten                   // the condition flags are written
+)
+
+// Stack says how an opcode touches the stack slot at rsp.
+type Stack uint8
+
+// Implicit stack accesses.
+const (
+	StackNone Stack = iota
+	StackPush       // stores at rsp-8: push, call
+	StackPop        // loads at rsp: pop, ret
+)
+
+// OpInfo is an opcode's row in the operand table: every question the
+// assembler, the emulator's tracer, the ILP analyses and the machine ask
+// about which registers and memory an instruction reads and writes is
+// answered from it, so they cannot disagree.
+type OpInfo struct {
+	Name           string // gas mnemonic (the condition suffix of jcc/setcc excluded)
+	Shape          Shape
+	Roles          Roles
+	ImplicitReads  RegMask // registers read without being named
+	ImplicitWrites RegMask // registers written without being named
+	Stack          Stack
+	Class          Class // pipeline class when no operand is in memory
 }
 
-// IsControl reports whether the instruction redirects or terminates a flow.
-func (in *Instruction) IsControl() bool { return in.Classify() == ClassControl }
+const (
+	rsp   = RegMask(1) << RSP
+	rax   = RegMask(1) << RAX
+	rdx   = RegMask(1) << RDX
+	flags = RegMask(1) << Flags
+
+	alu   = SrcRead | DstRead | DstWritten | FlagsWritten // dst = dst OP src
+	unary = DstRead | DstWritten | FlagsWritten           // dst = OP dst
+)
+
+var opTable = [NumOps]OpInfo{
+	NOP:     {"nop", ShapeNone, 0, 0, 0, StackNone, ClassSimple},
+	MOV:     {"movq", ShapeSrcDst, SrcRead | DstWritten, 0, 0, StackNone, ClassSimple},
+	LEA:     {"leaq", ShapeSrcDst, DstWritten, 0, 0, StackNone, ClassSimple},
+	ADD:     {"addq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	SUB:     {"subq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	AND:     {"andq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	OR:      {"orq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	XOR:     {"xorq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	IMUL:    {"imulq", ShapeSrcDst, alu &^ FlagsWritten, 0, 0, StackNone, ClassComplex},
+	SHL:     {"shlq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	SHR:     {"shrq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	SAR:     {"sarq", ShapeSrcDst, alu, 0, 0, StackNone, ClassSimple},
+	NEG:     {"negq", ShapeDst, unary, 0, 0, StackNone, ClassSimple},
+	NOT:     {"notq", ShapeDst, unary &^ FlagsWritten, 0, 0, StackNone, ClassSimple},
+	INC:     {"incq", ShapeDst, unary, 0, 0, StackNone, ClassSimple},
+	DEC:     {"decq", ShapeDst, unary, 0, 0, StackNone, ClassSimple},
+	DIV:     {"divq", ShapeDst, DstRead, rax | rdx, rax | rdx, StackNone, ClassComplex},
+	IDIV:    {"idivq", ShapeDst, DstRead, rax | rdx, rax | rdx, StackNone, ClassComplex},
+	CQTO:    {"cqto", ShapeNone, 0, rax, rdx, StackNone, ClassSimple},
+	CMP:     {"cmpq", ShapeSrcDst, SrcRead | DstRead | FlagsWritten, 0, 0, StackNone, ClassSimple},
+	TEST:    {"testq", ShapeSrcDst, SrcRead | DstRead | FlagsWritten, 0, 0, StackNone, ClassSimple},
+	SETcc:   {"set", ShapeDst, DstWritten, flags, 0, StackNone, ClassSimple},
+	PUSH:    {"pushq", ShapeSrc, SrcRead, rsp, rsp, StackPush, ClassSimple},
+	POP:     {"popq", ShapeDst, DstWritten, rsp, rsp, StackPop, ClassSimple},
+	JMP:     {"jmp", ShapeTarget, 0, 0, 0, StackNone, ClassControl},
+	Jcc:     {"j", ShapeTarget, 0, flags, 0, StackNone, ClassControl},
+	CALL:    {"call", ShapeTarget, 0, rsp, rsp, StackPush, ClassControl},
+	RET:     {"ret", ShapeNone, 0, rsp, rsp, StackPop, ClassControl},
+	FORK:    {"fork", ShapeTarget, 0, 0, 0, StackNone, ClassControl},
+	ENDFORK: {"endfork", ShapeNone, 0, 0, 0, StackNone, ClassControl},
+	HLT:     {"hlt", ShapeNone, 0, 0, 0, StackNone, ClassControl},
+}
+
+// Info returns the opcode's row in the operand table.
+func (o Op) Info() *OpInfo { return &opTable[o] }
+
+// Classify returns the pipeline class of the instruction: control
+// instructions are control; otherwise an instruction that writes memory is
+// a store, one that only reads memory is a load, and the rest take their
+// opcode's class.
+func (in *Instruction) Classify() Class {
+	info := in.Op.Info()
+	switch {
+	case info.Class == ClassControl:
+		return ClassControl
+	case in.memWrite(info) != nil:
+		return ClassStore
+	case in.memRead(info) != nil:
+		return ClassLoad
+	}
+	return info.Class
+}
 
 // WritesFlags reports whether the instruction writes the Flags register.
-func (in *Instruction) WritesFlags() bool {
-	switch in.Op {
-	case ADD, SUB, AND, OR, XOR, NEG, INC, DEC, CMP, TEST, SHL, SHR, SAR:
-		return true
-	}
-	return false
-}
+func (in *Instruction) WritesFlags() bool { return in.Op.Info().Roles&FlagsWritten != 0 }
 
-// ReadsFlags reports whether the instruction reads the Flags register.
-func (in *Instruction) ReadsFlags() bool {
-	return in.Op == Jcc || in.Op == SETcc
-}
-
-// RegReads appends to buf the registers read by the instruction (including
-// address-component registers of memory operands and Flags) and returns it.
-func (in *Instruction) RegReads(buf []Reg) []Reg {
-	addMem := func(o Operand) {
-		if o.Base != NoReg && o.Base < NumRegs {
-			buf = append(buf, o.Base)
-		}
-		if o.Index != NoReg && o.Index < NumRegs {
-			buf = append(buf, o.Index)
-		}
-	}
-	switch in.Op {
-	case NOP, JMP, HLT, ENDFORK:
-		return buf
-	case Jcc, SETcc:
-		buf = append(buf, Flags)
-		if in.Op == SETcc && in.Dst.Kind == KindMem {
-			addMem(in.Dst)
-		}
-		return buf
-	case CALL, FORK:
-		if in.Op == CALL {
-			buf = append(buf, RSP)
-		}
-		return buf
-	case RET:
-		buf = append(buf, RSP)
-		return buf
-	case PUSH:
-		buf = append(buf, RSP)
-		if in.Src.Kind == KindReg {
-			buf = append(buf, in.Src.Reg)
-		} else if in.Src.Kind == KindMem {
-			addMem(in.Src)
-		}
-		return buf
-	case POP:
-		buf = append(buf, RSP)
-		if in.Dst.Kind == KindMem {
-			addMem(in.Dst)
-		}
-		return buf
-	case CQTO:
-		buf = append(buf, RAX)
-		return buf
-	case DIV, IDIV:
-		buf = append(buf, RAX, RDX)
-		if in.Dst.Kind == KindReg {
-			buf = append(buf, in.Dst.Reg)
-		} else if in.Dst.Kind == KindMem {
-			addMem(in.Dst)
-		}
-		return buf
-	case MOV, LEA:
-		if in.Src.Kind == KindReg {
-			buf = append(buf, in.Src.Reg)
-		} else if in.Src.Kind == KindMem {
-			addMem(in.Src)
-		}
-		if in.Dst.Kind == KindMem {
-			addMem(in.Dst)
-		}
-		return buf
-	case NEG, NOT, INC, DEC:
-		if in.Dst.Kind == KindReg {
-			buf = append(buf, in.Dst.Reg)
-		} else if in.Dst.Kind == KindMem {
-			addMem(in.Dst)
-		}
-		return buf
-	}
-	// Two-operand ALU and CMP/TEST: read src and dst.
-	if in.Src.Kind == KindReg {
-		buf = append(buf, in.Src.Reg)
-	} else if in.Src.Kind == KindMem {
-		addMem(in.Src)
-	}
-	if in.Dst.Kind == KindReg {
-		buf = append(buf, in.Dst.Reg)
-	} else if in.Dst.Kind == KindMem {
-		addMem(in.Dst)
-	}
-	if (in.Op == SHL || in.Op == SHR || in.Op == SAR) && in.Src.Kind == KindNone {
-		// Single-operand shift-by-one form has no extra reads.
-		_ = buf
+// appendMask appends the registers of m to buf in register order.
+func appendMask(buf []Reg, m RegMask) []Reg {
+	for ; m != 0; m &= m - 1 {
+		buf = append(buf, Reg(bits.TrailingZeros32(uint32(m))))
 	}
 	return buf
 }
 
-// RegWrites appends to buf the registers written by the instruction
-// (including Flags where applicable) and returns it.
-func (in *Instruction) RegWrites(buf []Reg) []Reg {
-	switch in.Op {
-	case NOP, JMP, Jcc, HLT, FORK, ENDFORK:
-		return buf
-	case CMP, TEST:
-		return append(buf, Flags)
-	case CALL, RET:
-		return append(buf, RSP)
-	case PUSH:
-		return append(buf, RSP)
-	case POP:
-		buf = append(buf, RSP)
-		if in.Dst.Kind == KindReg {
-			buf = append(buf, in.Dst.Reg)
-		}
-		return buf
-	case CQTO:
-		return append(buf, RDX)
-	case DIV, IDIV:
-		return append(buf, RAX, RDX)
-	case SETcc:
-		if in.Dst.Kind == KindReg {
-			buf = append(buf, in.Dst.Reg)
-		}
-		return buf
+// appendAddr appends the base and index registers of a memory operand.
+func appendAddr(buf []Reg, o *Operand) []Reg {
+	if o.Base < NumRegs {
+		buf = append(buf, o.Base)
 	}
-	if in.Dst.Kind == KindReg {
+	if o.Index < NumRegs {
+		buf = append(buf, o.Index)
+	}
+	return buf
+}
+
+// appendOperandReads appends what reading operand o costs in registers: the
+// register itself when its value is read, the address registers of a
+// memory operand in any case.
+func appendOperandReads(buf []Reg, o *Operand, read bool) []Reg {
+	switch o.Kind {
+	case KindReg:
+		if read {
+			buf = append(buf, o.Reg)
+		}
+	case KindMem:
+		buf = appendAddr(buf, o)
+	}
+	return buf
+}
+
+// RegReads appends to buf the registers read by the instruction (including
+// address-component registers of memory operands and Flags) and returns it:
+// the implicit reads first, then the source's, then the destination's.
+func (in *Instruction) RegReads(buf []Reg) []Reg {
+	info := in.Op.Info()
+	buf = appendMask(buf, info.ImplicitReads)
+	buf = appendOperandReads(buf, &in.Src, info.Roles&SrcRead != 0)
+	return appendOperandReads(buf, &in.Dst, info.Roles&DstRead != 0)
+}
+
+// RegWrites appends to buf the registers written by the instruction
+// (including Flags where applicable) and returns it: the implicit writes
+// first, then a register destination, then Flags.
+func (in *Instruction) RegWrites(buf []Reg) []Reg {
+	info := in.Op.Info()
+	buf = appendMask(buf, info.ImplicitWrites)
+	if info.Roles&DstWritten != 0 && in.Dst.Kind == KindReg {
 		buf = append(buf, in.Dst.Reg)
 	}
-	if in.WritesFlags() {
+	if info.Roles&FlagsWritten != 0 {
 		buf = append(buf, Flags)
 	}
 	return buf
@@ -565,49 +571,64 @@ func (in *Instruction) RegWrites(buf []Reg) []Reg {
 // sources are needed only at memory access. Non-memory instructions return
 // the empty set.
 func (in *Instruction) AddrRegs() RegMask {
+	info := in.Op.Info()
 	var m RegMask
-	switch in.Op {
-	case PUSH, POP:
-		m.Add(RSP)
-		return m
+	if o := in.memRead(info); o != nil {
+		m |= o.addrRegs()
 	}
-	add := func(o Operand) {
-		if o.Base != NoReg && o.Base < NumRegs {
-			m.Add(o.Base)
-		}
-		if o.Index != NoReg && o.Index < NumRegs {
-			m.Add(o.Index)
-		}
-	}
-	if mo, ok := in.MemRead(); ok {
-		add(mo)
-	}
-	if mo, ok := in.MemWrite(); ok {
-		add(mo)
+	if o := in.memWrite(info); o != nil {
+		m |= o.addrRegs()
 	}
 	return m
 }
 
+// addrRegs returns the base and index registers of a memory operand.
+func (o *Operand) addrRegs() RegMask {
+	var m RegMask
+	if o.Base < NumRegs {
+		m.Add(o.Base)
+	}
+	if o.Index < NumRegs {
+		m.Add(o.Index)
+	}
+	return m
+}
+
+// The stack slots push/call store to and pop/ret load from.
+var (
+	stackPush = MemBase(-8, RSP)
+	stackPop  = MemBase(0, RSP)
+)
+
+// memRead returns the operand the instruction loads through, or nil.
+func (in *Instruction) memRead(info *OpInfo) *Operand {
+	switch {
+	case info.Stack == StackPop:
+		return &stackPop
+	case in.Src.Kind == KindMem && info.Roles&SrcRead != 0:
+		return &in.Src
+	case in.Dst.Kind == KindMem && info.Roles&DstRead != 0:
+		return &in.Dst
+	}
+	return nil
+}
+
+// memWrite returns the operand the instruction stores through, or nil.
+func (in *Instruction) memWrite(info *OpInfo) *Operand {
+	switch {
+	case info.Stack == StackPush:
+		return &stackPush
+	case in.Dst.Kind == KindMem && info.Roles&DstWritten != 0:
+		return &in.Dst
+	}
+	return nil
+}
+
 // MemRead reports whether the instruction loads from data memory, and which
-// operand holds the address.
+// operand holds the address. POP/RET load at rsp.
 func (in *Instruction) MemRead() (Operand, bool) {
-	switch in.Op {
-	case POP:
-		return MemBase(0, RSP), true
-	case RET:
-		return MemBase(0, RSP), true
-	case LEA:
-		return Operand{}, false
-	}
-	if in.Src.Kind == KindMem {
-		return in.Src, true
-	}
-	// Read-modify-write memory destinations also load.
-	if in.Dst.Kind == KindMem {
-		switch in.Op {
-		case ADD, SUB, AND, OR, XOR, NEG, NOT, INC, DEC, CMP, TEST:
-			return in.Dst, true
-		}
+	if o := in.memRead(in.Op.Info()); o != nil {
+		return *o, true
 	}
 	return Operand{}, false
 }
@@ -615,16 +636,8 @@ func (in *Instruction) MemRead() (Operand, bool) {
 // MemWrite reports whether the instruction stores to data memory, and which
 // operand holds the address. PUSH/CALL store at the post-decrement rsp.
 func (in *Instruction) MemWrite() (Operand, bool) {
-	switch in.Op {
-	case PUSH:
-		return MemBase(-8, RSP), true
-	case CALL:
-		return MemBase(-8, RSP), true
-	case CMP, TEST, LEA:
-		return Operand{}, false
-	}
-	if in.Dst.Kind == KindMem {
-		return in.Dst, true
+	if o := in.memWrite(in.Op.Info()); o != nil {
+		return *o, true
 	}
 	return Operand{}, false
 }

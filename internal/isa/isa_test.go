@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -168,6 +169,22 @@ func TestClassify(t *testing.T) {
 		{Instruction{Op: FORK}, ClassControl},
 		{Instruction{Op: ENDFORK}, ClassControl},
 		{Instruction{Op: LEA, Src: MemOp(0, RDI, RSI, 8), Dst: RegOp(RDI)}, ClassSimple},
+		{Instruction{Op: CALL}, ClassControl},
+		{Instruction{Op: RET}, ClassControl},
+		{Instruction{Op: CQTO}, ClassSimple},
+		// Memory forms: a compare reads its memory operand and writes
+		// nothing back; a divide reads its divisor from memory; the
+		// read-modify-write forms and setcc store.
+		{Instruction{Op: CMP, Src: RegOp(RBX), Dst: MemBase(8, RDI)}, ClassLoad},
+		{Instruction{Op: TEST, Src: ImmOp(3), Dst: MemBase(8, RDI)}, ClassLoad},
+		{Instruction{Op: DIV, Dst: MemBase(8, RDI)}, ClassLoad},
+		{Instruction{Op: IDIV, Dst: MemBase(8, RDI)}, ClassLoad},
+		{Instruction{Op: IMUL, Src: MemBase(8, RDI), Dst: RegOp(RAX)}, ClassLoad},
+		{Instruction{Op: IMUL, Src: RegOp(RBX), Dst: MemBase(8, RDI)}, ClassStore},
+		{Instruction{Op: INC, Dst: MemBase(8, RDI)}, ClassStore},
+		{Instruction{Op: NOT, Dst: MemBase(8, RDI)}, ClassStore},
+		{Instruction{Op: SHL, Src: ImmOp(3), Dst: MemBase(8, RDI)}, ClassStore},
+		{Instruction{Op: SETcc, Cond: CondE, Dst: MemBase(8, RDI)}, ClassStore},
 	}
 	for _, c := range cases {
 		if got := c.in.Classify(); got != c.want {
@@ -259,6 +276,41 @@ func TestRegReadsWrites(t *testing.T) {
 	}
 	if _, ok := rmw.MemWrite(); !ok {
 		t.Error("rmw add should write memory")
+	}
+
+	// Memory forms beyond the ones the compiler emits.
+	mem := MemBase(8, RDI)
+	for _, c := range []struct {
+		in            Instruction
+		load, store   bool
+		reads, writes []Reg
+	}{
+		{Instruction{Op: CMP, Src: RegOp(RBX), Dst: mem}, true, false, []Reg{RBX, RDI}, []Reg{Flags}},
+		{Instruction{Op: TEST, Src: ImmOp(3), Dst: mem}, true, false, []Reg{RDI}, []Reg{Flags}},
+		{Instruction{Op: DIV, Dst: mem}, true, false, []Reg{RAX, RDX, RDI}, []Reg{RAX, RDX}},
+		{Instruction{Op: IDIV, Dst: mem}, true, false, []Reg{RAX, RDX, RDI}, []Reg{RAX, RDX}},
+		{Instruction{Op: IMUL, Src: RegOp(RBX), Dst: mem}, true, true, []Reg{RBX, RDI}, nil},
+		{Instruction{Op: IMUL, Src: ImmOp(3), Dst: mem}, true, true, []Reg{RDI}, nil},
+		{Instruction{Op: INC, Dst: mem}, true, true, []Reg{RDI}, []Reg{Flags}},
+		{Instruction{Op: NOT, Dst: mem}, true, true, []Reg{RDI}, nil},
+		{Instruction{Op: SAR, Src: RegOp(RCX), Dst: mem}, true, true, []Reg{RCX, RDI}, []Reg{Flags}},
+		{Instruction{Op: SETcc, Cond: CondL, Dst: mem}, false, true, []Reg{Flags, RDI}, nil},
+		{Instruction{Op: MOV, Src: ImmOp(3), Dst: mem}, false, true, []Reg{RDI}, nil},
+	} {
+		_, load := c.in.MemRead()
+		_, store := c.in.MemWrite()
+		if load != c.load || store != c.store {
+			t.Errorf("%s: MemRead %v, MemWrite %v; want %v, %v", c.in, load, store, c.load, c.store)
+		}
+		if r := c.in.RegReads(nil); fmt.Sprint(r) != fmt.Sprint(c.reads) {
+			t.Errorf("%s: reads %v, want %v", c.in, r, c.reads)
+		}
+		if w := c.in.RegWrites(nil); fmt.Sprint(w) != fmt.Sprint(c.writes) {
+			t.Errorf("%s: writes %v, want %v", c.in, w, c.writes)
+		}
+		if a := c.in.AddrRegs(); a != 1<<RDI {
+			t.Errorf("%s: address registers %b, want rdi only", c.in, a)
+		}
 	}
 }
 

@@ -55,130 +55,125 @@ func (d *DynInst) srcValue(r isa.Reg) uint64 {
 	return 0
 }
 
-// regWrites collects the register results of one instruction evaluation: at
-// most two writes (a destination plus Flags, or rax plus rdx for divides).
-// A fixed-size out-parameter, not a map — the previous map allocation per
-// evaluated instruction was one of the simulator's top allocation sites.
-type regWrites struct {
-	n   int
-	reg [2]isa.Reg
-	val [2]uint64
+// results collects what one evaluation of an instruction produces: at most
+// two register results (a destination plus Flags, or rax plus rdx for the
+// divides) and, for a memory destination, the word to store. A fixed-size
+// out-parameter, not a map — the previous map allocation per evaluated
+// instruction was one of the simulator's top allocation sites.
+type results struct {
+	n     int
+	reg   [2]isa.Reg
+	val   [2]uint64
+	store uint64
 }
 
-func (w *regWrites) set(r isa.Reg, v uint64) {
+func (w *results) set(r isa.Reg, v uint64) {
 	w.reg[w.n] = r
 	w.val[w.n] = v
 	w.n++
 }
 
-// evalRegCompute computes the register results of a non-memory instruction
-// given a register reader, appending them to out. Used both by the fetch
-// stage's in-order partial execution and by the execute-write-back stage.
-// Controls and memory ops produce no writes here.
-func evalRegCompute(in *isa.Instruction, rd func(isa.Reg) uint64, out *regWrites) error {
-	src := func() uint64 {
-		switch in.Src.Kind {
+// eval is the machine's one evaluator. It computes the results of in from
+// its operand values: a register operand's value comes from rd, an
+// immediate is itself, and a memory operand's value is mem, the word the
+// instruction loaded (ignored when it loads nothing). The opcode's row in
+// the isa operand table says what is written: a memory destination yields
+// the word to store, a register destination a register result, and Flags
+// only where the row says so, so cmp and test never store. The fetch stage's
+// in-order partial execution and the execute-write-back and memory-access
+// stages all evaluate through here; the rsp halves of push and pop are
+// computed by the stages themselves, and control instructions produce
+// nothing here.
+func eval(in *isa.Instruction, rd func(isa.Reg) uint64, mem uint64, out *results) error {
+	info := in.Op.Info()
+	val := func(o *isa.Operand) uint64 {
+		switch o.Kind {
 		case isa.KindReg:
-			return rd(in.Src.Reg)
+			return rd(o.Reg)
 		case isa.KindImm:
-			return uint64(in.Src.Imm)
+			return uint64(o.Imm)
+		case isa.KindMem:
+			return mem
 		}
 		return 0
 	}
+	var a, b, r uint64
+	if info.Roles&isa.SrcRead != 0 {
+		b = val(&in.Src)
+	}
+	if info.Roles&isa.DstRead != 0 {
+		a = val(&in.Dst)
+	}
+	var fl isa.FlagsVal
 	switch in.Op {
-	case isa.NOP, isa.JMP, isa.Jcc, isa.FORK, isa.ENDFORK, isa.HLT:
-		return nil
 	case isa.MOV:
-		out.set(in.Dst.Reg, src())
+		r = b
 	case isa.LEA:
-		a := uint64(in.Src.Imm)
+		r = uint64(in.Src.Imm)
 		if in.Src.Base != isa.NoReg {
-			a += rd(in.Src.Base)
+			r += rd(in.Src.Base)
 		}
 		if in.Src.Index != isa.NoReg {
-			a += rd(in.Src.Index) * uint64(in.Src.Scale)
+			r += rd(in.Src.Index) * uint64(in.Src.Scale)
 		}
-		out.set(in.Dst.Reg, a)
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.SHL, isa.SHR, isa.SAR:
-		a := rd(in.Dst.Reg)
-		b := src()
-		var r uint64
-		var fl isa.FlagsVal
-		setFlags := true
-		switch in.Op {
-		case isa.ADD:
-			r = a + b
-			fl = isa.FlagsAdd(a, b, r)
-		case isa.SUB:
-			r = a - b
-			fl = isa.FlagsSub(a, b, r)
-		case isa.AND:
-			r = a & b
-			fl = isa.FlagsLogic(r)
-		case isa.OR:
-			r = a | b
-			fl = isa.FlagsLogic(r)
-		case isa.XOR:
-			r = a ^ b
-			fl = isa.FlagsLogic(r)
-		case isa.IMUL:
-			r = uint64(int64(a) * int64(b))
-			setFlags = false
-		case isa.SHL:
-			r = a << (b & 63)
-			fl = isa.FlagsLogic(r)
-		case isa.SHR:
-			r = a >> (b & 63)
-			fl = isa.FlagsLogic(r)
-		case isa.SAR:
-			r = uint64(int64(a) >> (b & 63))
-			fl = isa.FlagsLogic(r)
-		}
-		out.set(in.Dst.Reg, r)
-		if setFlags {
-			out.set(isa.Flags, uint64(fl))
-		}
+	case isa.ADD:
+		r = a + b
+		fl = isa.FlagsAdd(a, b, r)
+	case isa.SUB, isa.CMP:
+		r = a - b
+		fl = isa.FlagsSub(a, b, r)
+	case isa.AND, isa.TEST:
+		r = a & b
+		fl = isa.FlagsLogic(r)
+	case isa.OR:
+		r = a | b
+		fl = isa.FlagsLogic(r)
+	case isa.XOR:
+		r = a ^ b
+		fl = isa.FlagsLogic(r)
+	case isa.IMUL:
+		r = uint64(int64(a) * int64(b))
+	case isa.SHL:
+		r = a << (b & 63)
+		fl = isa.FlagsLogic(r)
+	case isa.SHR:
+		r = a >> (b & 63)
+		fl = isa.FlagsLogic(r)
+	case isa.SAR:
+		r = uint64(int64(a) >> (b & 63))
+		fl = isa.FlagsLogic(r)
 	case isa.NEG:
-		v := rd(in.Dst.Reg)
-		r := -v
-		out.set(in.Dst.Reg, r)
-		out.set(isa.Flags, uint64(isa.FlagsSub(0, v, r)))
+		r = -a
+		fl = isa.FlagsSub(0, a, r)
 	case isa.NOT:
-		out.set(in.Dst.Reg, ^rd(in.Dst.Reg))
+		r = ^a
 	case isa.INC:
-		v := rd(in.Dst.Reg)
-		out.set(in.Dst.Reg, v+1)
-		out.set(isa.Flags, uint64(isa.FlagsAdd(v, 1, v+1)))
+		r = a + 1
+		fl = isa.FlagsAdd(a, 1, r)
 	case isa.DEC:
-		v := rd(in.Dst.Reg)
-		out.set(in.Dst.Reg, v-1)
-		out.set(isa.Flags, uint64(isa.FlagsSub(v, 1, v-1)))
+		r = a - 1
+		fl = isa.FlagsSub(a, 1, r)
+	case isa.SETcc:
+		if in.Cond.Eval(isa.FlagsVal(rd(isa.Flags))) {
+			r = 1
+		}
+	case isa.PUSH:
+		out.store = b
+	case isa.POP:
+		r = mem
 	case isa.CQTO:
 		out.set(isa.RDX, uint64(int64(rd(isa.RAX))>>63))
-	case isa.CMP:
-		a := rd(in.Dst.Reg)
-		b := src()
-		out.set(isa.Flags, uint64(isa.FlagsSub(a, b, a-b)))
-	case isa.TEST:
-		out.set(isa.Flags, uint64(isa.FlagsLogic(rd(in.Dst.Reg)&src())))
-	case isa.SETcc:
-		v := uint64(0)
-		if in.Cond.Eval(isa.FlagsVal(rd(isa.Flags))) {
-			v = 1
-		}
-		out.set(in.Dst.Reg, v)
 	case isa.DIV:
-		d := rd(in.Dst.Reg)
-		if d == 0 {
+		if a == 0 {
 			return fmt.Errorf("division by zero")
 		}
 		if rd(isa.RDX) != 0 {
 			return fmt.Errorf("divq with non-zero rdx")
 		}
-		out.set(isa.RAX, rd(isa.RAX)/d)
-		out.set(isa.RDX, rd(isa.RAX)%d)
+		out.set(isa.RAX, rd(isa.RAX)/a)
+		out.set(isa.RDX, rd(isa.RAX)%a)
 	case isa.IDIV:
-		d := int64(rd(in.Dst.Reg))
+		d := int64(a)
 		if d == 0 {
 			return fmt.Errorf("division by zero")
 		}
@@ -188,28 +183,27 @@ func evalRegCompute(in *isa.Instruction, rd func(isa.Reg) uint64, out *regWrites
 		}
 		out.set(isa.RAX, uint64(num/d))
 		out.set(isa.RDX, uint64(num%d))
-	default:
-		return fmt.Errorf("unexpected opcode %s in register compute", in.Op)
+	}
+	if info.Roles&isa.DstWritten != 0 {
+		if in.Dst.Kind == isa.KindMem {
+			out.store = r
+		} else {
+			out.set(in.Dst.Reg, r)
+		}
+	}
+	if info.Roles&isa.FlagsWritten != 0 {
+		out.set(isa.Flags, uint64(fl))
 	}
 	return nil
 }
 
 // effectiveAddr computes the data address of a memory instruction from its
-// resolved register sources. For push the address is rsp-8 (post-decrement);
-// for pop it is the incoming rsp.
+// resolved register sources (for push the post-decrement rsp-8, for pop the
+// incoming rsp).
 func (d *DynInst) effectiveAddr() uint64 {
-	in := d.In
-	switch in.Op {
-	case isa.PUSH:
-		return d.srcValue(isa.RSP) - 8
-	case isa.POP:
-		return d.srcValue(isa.RSP)
-	}
-	var o isa.Operand
-	if mo, ok := in.MemRead(); ok {
-		o = mo
-	} else if mo, ok := in.MemWrite(); ok {
-		o = mo
+	o, ok := d.In.MemRead()
+	if !ok {
+		o, _ = d.In.MemWrite()
 	}
 	a := uint64(o.Imm)
 	if o.Base != isa.NoReg {
@@ -219,134 +213,6 @@ func (d *DynInst) effectiveAddr() uint64 {
 		a += d.srcValue(o.Index) * uint64(o.Scale)
 	}
 	return a
-}
-
-// evalMemAccess computes the memory-access-stage results of a load/store d:
-// the register results for loads and/or the stored value for stores.
-// memVal is the loaded value (producers already checked ready by the caller);
-// it is ignored by pure stores.
-func (d *DynInst) evalMemAccess(memVal uint64, cyc int64) error {
-	in := d.In
-	rd := d.srcValue
-	switch in.Op {
-	case isa.MOV:
-		if in.Src.Kind == isa.KindMem {
-			d.setReg(in.Dst.Reg, memVal, cyc)
-		} else {
-			// Store: data from reg or imm.
-			if in.Src.Kind == isa.KindReg {
-				d.storeVal = rd(in.Src.Reg)
-			} else {
-				d.storeVal = uint64(in.Src.Imm)
-			}
-		}
-	case isa.PUSH:
-		if in.Src.Kind == isa.KindReg {
-			d.storeVal = rd(in.Src.Reg)
-		} else {
-			d.storeVal = uint64(in.Src.Imm)
-		}
-	case isa.POP:
-		d.setReg(in.Dst.Reg, memVal, cyc)
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL:
-		if in.Src.Kind == isa.KindMem {
-			// Load form: dst = dst OP [mem].
-			a := rd(in.Dst.Reg)
-			var r uint64
-			var fl isa.FlagsVal
-			setFlags := true
-			switch in.Op {
-			case isa.ADD:
-				r = a + memVal
-				fl = isa.FlagsAdd(a, memVal, r)
-			case isa.SUB:
-				r = a - memVal
-				fl = isa.FlagsSub(a, memVal, r)
-			case isa.AND:
-				r = a & memVal
-				fl = isa.FlagsLogic(r)
-			case isa.OR:
-				r = a | memVal
-				fl = isa.FlagsLogic(r)
-			case isa.XOR:
-				r = a ^ memVal
-				fl = isa.FlagsLogic(r)
-			case isa.IMUL:
-				r = uint64(int64(a) * int64(memVal))
-				setFlags = false
-			}
-			d.setReg(in.Dst.Reg, r, cyc)
-			if setFlags {
-				d.setReg(isa.Flags, uint64(fl), cyc)
-			}
-		} else {
-			// Read-modify-write memory destination.
-			var b uint64
-			if in.Src.Kind == isa.KindReg {
-				b = rd(in.Src.Reg)
-			} else {
-				b = uint64(in.Src.Imm)
-			}
-			a := memVal
-			var r uint64
-			var fl isa.FlagsVal
-			setFlags := true
-			switch in.Op {
-			case isa.ADD:
-				r = a + b
-				fl = isa.FlagsAdd(a, b, r)
-			case isa.SUB:
-				r = a - b
-				fl = isa.FlagsSub(a, b, r)
-			case isa.AND:
-				r = a & b
-				fl = isa.FlagsLogic(r)
-			case isa.OR:
-				r = a | b
-				fl = isa.FlagsLogic(r)
-			case isa.XOR:
-				r = a ^ b
-				fl = isa.FlagsLogic(r)
-			case isa.IMUL:
-				r = uint64(int64(a) * int64(b))
-				setFlags = false
-			}
-			d.storeVal = r
-			if setFlags {
-				d.setReg(isa.Flags, uint64(fl), cyc)
-			}
-		}
-	case isa.CMP:
-		// cmpq with a memory operand: flags only.
-		var a, b uint64
-		if in.Src.Kind == isa.KindMem {
-			a, b = rd(in.Dst.Reg), memVal
-		} else {
-			a = memVal
-			if in.Src.Kind == isa.KindReg {
-				b = rd(in.Src.Reg)
-			} else {
-				b = uint64(in.Src.Imm)
-			}
-		}
-		d.setReg(isa.Flags, uint64(isa.FlagsSub(a, b, a-b)), cyc)
-	case isa.TEST:
-		var a, b uint64
-		if in.Src.Kind == isa.KindMem {
-			a, b = rd(in.Dst.Reg), memVal
-		} else {
-			a = memVal
-			if in.Src.Kind == isa.KindReg {
-				b = rd(in.Src.Reg)
-			} else {
-				b = uint64(in.Src.Imm)
-			}
-		}
-		d.setReg(isa.Flags, uint64(isa.FlagsLogic(a&b)), cyc)
-	default:
-		return fmt.Errorf("machine: unsupported memory op %s", in)
-	}
-	return nil
 }
 
 // dedupRegs removes duplicates in place, preserving order.

@@ -173,7 +173,7 @@ type srcRef struct {
 }
 
 // maxSrcs bounds the register sources of one instruction after
-// deduplication (the widest case is divq with a memory destination: rax,
+// deduplication (the widest case is divq with a memory operand: rax,
 // rdx, base, index).
 const maxSrcs = 4
 
@@ -591,14 +591,6 @@ func (m *Machine) prevOf(s *Section) *Section {
 		return nil
 	}
 	return m.order[s.Pos-1]
-}
-
-// nextOf returns the section immediately after s, or nil.
-func (m *Machine) nextOf(s *Section) *Section {
-	if s.Pos+1 >= len(m.order) {
-		return nil
-	}
-	return m.order[s.Pos+1]
 }
 
 // chooseHost picks the hosting core for a new section (the paper leaves

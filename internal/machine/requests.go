@@ -44,8 +44,6 @@ type request struct {
 	target      *Section // section the request is travelling to / waiting at
 	availableAt int64    // cycle the request is available at its location
 	done        bool
-
-	hops int // visited sections, for statistics
 }
 
 // addRequest creates a renaming request for instruction d.
@@ -147,7 +145,6 @@ func (m *Machine) stepRequest(r *request) {
 			to = from
 		}
 		r.availableAt = m.cycle + m.cfg.Net.Latency(from, to)
-		r.hops++
 		m.reqHops++
 		return
 	}

@@ -11,12 +11,12 @@ import (
 // and retired request objects return to the pool scrubbed.
 func TestProcessRequestsCompaction(t *testing.T) {
 	m := &Machine{}
-	mk := func(tag int) *request {
+	mk := func(tag uint64) *request {
 		r := m.newRequest()
 		// Far in the future: stepRequest leaves the request untouched, so
 		// the test controls exactly which entries retire.
 		r.availableAt = 100
-		r.hops = tag
+		r.addr = tag
 		return r
 	}
 	reqs := []*request{mk(0), mk(1), mk(2), mk(3), mk(4), mk(5)}
@@ -27,13 +27,13 @@ func TestProcessRequestsCompaction(t *testing.T) {
 
 	m.processRequests()
 
-	want := []int{0, 2, 5}
+	want := []uint64{0, 2, 5}
 	if len(m.reqs) != len(want) {
 		t.Fatalf("%d live requests, want %d", len(m.reqs), len(want))
 	}
 	for i, tag := range want {
-		if m.reqs[i].hops != tag {
-			t.Errorf("live[%d] carries tag %d, want %d (order not preserved)", i, m.reqs[i].hops, tag)
+		if m.reqs[i].addr != tag {
+			t.Errorf("live[%d] carries tag %d, want %d (order not preserved)", i, m.reqs[i].addr, tag)
 		}
 	}
 	if len(m.reqFree) != 3 {
@@ -44,7 +44,7 @@ func TestProcessRequestsCompaction(t *testing.T) {
 	if r != reqs[4] {
 		t.Error("newRequest did not reuse the most recently retired request")
 	}
-	if r.hops != 0 || r.done || r.availableAt != 0 {
+	if r.addr != 0 || r.done || r.availableAt != 0 {
 		t.Errorf("reused request not scrubbed: %+v", r)
 	}
 

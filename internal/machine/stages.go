@@ -99,8 +99,8 @@ func (m *Machine) stageFD(c *Core) {
 	case isa.ClassSimple:
 		reads := m.regReads(in)
 		if full(reads) {
-			var out regWrites
-			if err := evalRegCompute(in, rd, &out); err != nil {
+			var out results
+			if err := eval(in, rd, 0, &out); err != nil {
 				m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, in, err)
 				return
 			}
@@ -121,21 +121,15 @@ func (m *Machine) stageFD(c *Core) {
 		// The register half of push/pop (the rsp update) is simple and is
 		// computed in-stage when rsp is full, keeping the stack discipline
 		// flowing through the fetch stage.
-		if (in.Op == isa.PUSH || in.Op == isa.POP) && c.rf[isa.RSP].full {
-			nrsp := c.rf[isa.RSP].v - 8
+		rsp := c.rf[isa.RSP]
+		markEmpty()
+		if (in.Op == isa.PUSH || in.Op == isa.POP) && rsp.full {
+			nrsp := rsp.v - 8
 			if in.Op == isa.POP {
-				nrsp = c.rf[isa.RSP].v + 8
+				nrsp = rsp.v + 8
 			}
 			d.setReg(isa.RSP, nrsp, m.cycle)
 			c.rf[isa.RSP] = val{v: nrsp, full: true}
-			if in.Op == isa.POP && in.Dst.Kind == isa.KindReg {
-				c.rf[in.Dst.Reg] = val{}
-			}
-			if in.WritesFlags() {
-				c.rf[isa.Flags] = val{}
-			}
-		} else {
-			markEmpty()
 		}
 	case isa.ClassControl:
 		switch in.Op {
@@ -437,8 +431,8 @@ func (m *Machine) ewApply(c *Core, best int) {
 	case isa.NOP, isa.JMP, isa.FORK, isa.ENDFORK, isa.HLT:
 		d.resolved = true
 	default:
-		var out regWrites
-		if err := evalRegCompute(d.In, d.srcValue, &out); err != nil {
+		var out results
+		if err := eval(d.In, d.srcValue, 0, &out); err != nil {
 			m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, d.In, err)
 			return
 		}
@@ -562,10 +556,15 @@ func (m *Machine) maApply(c *Core, best int) {
 	if d.memSrc.valid() {
 		mv = d.memSrc.value()
 	}
-	if err := d.evalMemAccess(mv, m.cycle); err != nil {
-		m.err = err
+	var out results
+	if err := eval(d.In, d.srcValue, mv, &out); err != nil {
+		m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, d.In, err)
 		return
 	}
+	for i := 0; i < out.n; i++ {
+		d.setReg(out.reg[i], out.val[i], m.cycle)
+	}
+	d.storeVal = out.store
 	d.tMA.at = m.cycle
 	m.progress++
 	m.unparkRegs(d)

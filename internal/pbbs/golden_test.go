@@ -11,7 +11,7 @@ import (
 	"repro/internal/minic"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden mini-C files under testdata/golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden mini-C files under testdata/golden and the Fig. 7 golden")
 
 // goldenName is the golden file for one kernel at one dataset size. Two
 // kernels share the "deterministicHash" short name; the ID prefix keeps the
@@ -70,5 +70,34 @@ func TestGoldenSources(t *testing.T) {
 					k.Name, n, path, want, got)
 			}
 		}
+	}
+}
+
+// fig7Golden is the Fig. 7 table of every kernel at n=24 with seed 1.
+const fig7Golden = "testdata/fig7-n24-seed1.txt"
+
+// TestFig7Golden pins the paper's Fig. 7 numbers byte for byte: the trace
+// length and the sequential and parallel ILP of every kernel at n=24 with
+// seed 1. The ILP models read the dependence sets the isa operand queries
+// report for each traced instruction, so a change to those queries that
+// alters any dependence shows up here. Run with -update to rewrite it.
+func TestFig7Golden(t *testing.T) {
+	points, err := MeasureAll(Kernels(), []int{24}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Fig7Table(points)
+	if *updateGolden {
+		if err := os.WriteFile(fig7Golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(fig7Golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("Fig. 7 table drifted from %s\n--- golden\n%s--- now\n%s", fig7Golden, want, got)
 	}
 }

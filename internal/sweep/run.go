@@ -40,10 +40,6 @@ type Engine struct {
 	Cache *Cache
 	// Workers bounds concurrent measurements; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Dense selects the machine's reference dense scheduler instead of the
-	// default idle-skip one. Simulation outcomes are identical either way
-	// (only SimNs/NsPerCycle differ), so the cache key is unaffected.
-	Dense bool
 	// Pool, when non-nil, serves machines from a warm pool instead of
 	// constructing one per measurement: points sharing a program and
 	// configuration (same kernel, size, cores, topology — only inputs/seed
@@ -191,7 +187,6 @@ func (e *Engine) Measure(p Point) Record {
 		CreateLatency:      2,
 		Shortcut:           p.Shortcut,
 		MaxSectionsPerCore: p.MaxSections,
-		Dense:              e.Dense,
 	}
 	// The timed window covers machine acquisition, input injection and the
 	// run, so SimNs reflects what the pool amortizes: a pooled Get is a

@@ -36,13 +36,7 @@ type Record struct {
 }
 
 // IsControl reports whether the record is a control-flow instruction.
-func (r *Record) IsControl() bool {
-	switch r.Op {
-	case isa.JMP, isa.Jcc, isa.CALL, isa.RET, isa.FORK, isa.ENDFORK, isa.HLT:
-		return true
-	}
-	return false
-}
+func (r *Record) IsControl() bool { return r.Op.Info().Class == isa.ClassControl }
 
 // Trace is an in-memory dynamic trace.
 type Trace struct {
